@@ -45,7 +45,7 @@ def main(argv=None) -> int:
         "report": report.to_json(),
         "limit_cov": [[float(x) for x in row] for row in law.hessian],
         "verdict": verdict.to_json(),
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return 0 if verdict.passed else 1
 
 

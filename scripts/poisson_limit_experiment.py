@@ -33,7 +33,7 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "poisson_lambda": lam,
         "verdict": verdict.to_json(),
-    }, indent=2))
+    }, indent=2, allow_nan=False))
     return 0 if verdict.passed else 1
 
 

@@ -26,7 +26,6 @@ from .exact import (
     census_to_json,
     class_is_empty,
     graph_gf,
-    joint_pmf,
 )
 from .sampler import run_experiment, sidecar_metadata, write_samples_csv
 from .series import MODELS
@@ -67,7 +66,12 @@ def _default_seed() -> int:
 
 
 def _write_json(obj, path):
-    text = json.dumps(obj, indent=2) + "\n"
+    """Strict JSON to path or stdout; a non-finite top-level field is an
+    error (exit 2) and nothing is written."""
+    bad = [k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v)]
+    if bad:
+        raise DegseqError("non-finite result field(s): %s" % ", ".join(bad))
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -147,7 +151,7 @@ def _cmd_exact(args) -> int:
     if gf.is_empty:
         print("empty class: no graphs with n1=%d, n2=%d" % (args.n1, args.n2), file=sys.stderr)
         return 2
-    pmf = joint_pmf(params)
+    pmf = gf.pmf()
     payload = {
         "params": {"n1": args.n1, "n2": args.n2, "q": args.q, "model": args.model},
         **census_to_json(gf),
@@ -179,9 +183,7 @@ def _cmd_sample(args) -> int:
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     result = run_experiment(params, args.n_reps, seed=seed, workers=workers)
     write_samples_csv(result, args.out)
-    with open(args.out + ".meta.json", "w") as fh:
-        json.dump(sidecar_metadata(result), fh, indent=2)
-        fh.write("\n")
+    _write_json(sidecar_metadata(result), args.out + ".meta.json")
     return 0
 
 
@@ -220,9 +222,9 @@ def _cmd_verify(args) -> int:
         numbers = None
     results = verify_mod.run_checks(numbers, emit=print)
     if args.json_path:
+        text = json.dumps([r.to_json() for r in results], indent=2, allow_nan=False)
         with open(args.json_path, "w") as fh:
-            json.dump([r.to_json() for r in results], fh, indent=2)
-            fh.write("\n")
+            fh.write(text + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

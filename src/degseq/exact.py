@@ -93,6 +93,13 @@ class CensusPolynomial:
     def evaluate(self, u_values) -> Fraction:
         return self.poly.evaluate([as_fraction(v) for v in u_values])
 
+    def pmf(self) -> dict:
+        """Joint law of the census vector, keyed by sorted exponent tuple;
+        values sum to 1.  Raises EmptyClassError for the zero polynomial."""
+        if self.is_empty:
+            raise EmptyClassError("the census polynomial is zero: the class is empty")
+        return {exps: coeff / self.total for exps, coeff in sorted(self.poly.terms.items())}
+
 
 def v_factor(n1: int, n2: int) -> Fraction:
     """Relabelling prefactor (n1+n2)! / (2^{n1/2} (n1/2)!) turning the
@@ -144,11 +151,11 @@ def joint_pmf(params: GraphClassParams) -> dict:
     """Exact joint law of the census vector (m_1..m_q) under the uniform
     (simple) or pairing-mass (multigraph) distribution; values sum to 1."""
     gf = graph_gf(params)
-    if gf.total == 0:
+    if gf.is_empty:
         raise EmptyClassError(
             "no graphs with n1=%d, n2=%d in %s model" % (params.n1, params.n2, params.model)
         )
-    return {exps: coeff / gf.total for exps, coeff in sorted(gf.poly.terms.items())}
+    return gf.pmf()
 
 
 def pmf_moments(pmf: dict):

@@ -125,14 +125,15 @@ class ComponentCensus:
         return self.path_components + self.cycle_components
 
 
-def census(g: StubMultigraph, q: int) -> ComponentCensus:
-    """Component census via a disjoint-set forest over the edges.
+def _forest(g: StubMultigraph):
+    """The one component labeller of the sampled graphs: a single pass over
+    the edges that counts endpoint degrees and unions the two ends in a
+    disjoint-set forest (union by size, path halving), kept inline because
+    it is the Monte Carlo hot loop.  Returns (parent, size).
 
     Raises StructuralError if the edge multiset does not realize the declared
     degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
     n1 = g.n1
     n = g.n1 + g.n2
     occ = [0] * n
@@ -154,6 +155,27 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
             size[a] += size[b]
     if occ[:n1] != [1] * n1 or occ[n1:] != [2] * (n - n1):
         raise StructuralError("edge endpoints do not match the degree profile")
+    return parent, size
+
+
+def _root(parent, v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def census(g: StubMultigraph, q: int) -> ComponentCensus:
+    """Component census via the disjoint-set forest over the edges.
+
+    Raises StructuralError if the edge multiset does not realize the declared
+    degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
+    """
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    n1 = g.n1
+    n = g.n1 + g.n2
+    parent, size = _forest(g)
     counts = [0] * q
     tail = 0
     sizes_sum = 0
@@ -187,23 +209,13 @@ def validate_structure(g: StubMultigraph) -> None:
     """Thorough per-component shape check: each component must be a path
     (exactly two degree-1 vertices, edges = vertices - 1) or a cycle (no
     degree-1 vertex, edges = vertices).  Raises StructuralError otherwise."""
-    n1 = g.n1
-    n = g.n_vertices
-    occ = [0] * n
-    for a, b in g.edges:
-        occ[a] += 1
-        occ[b] += 1
-    if occ[:n1] != [1] * n1 or occ[n1:] != [2] * (n - n1):
-        raise StructuralError("edge endpoints do not match the degree profile")
-    from .unionfind import UnionFind
-
-    uf = UnionFind(n)
-    for a, b in g.edges:
-        uf.union(a, b)
-    edge_count = Counter(uf.find(a) for a, _ in g.edges)
-    deg1_count = Counter(uf.find(v) for v in range(n1))
-    for root in uf.roots():
-        vertices = uf.size[root]
+    parent, size = _forest(g)
+    edge_count = Counter(_root(parent, a) for a, _ in g.edges)
+    deg1_count = Counter(_root(parent, v) for v in range(g.n1))
+    for root in range(g.n_vertices):
+        if parent[root] != root:
+            continue
+        vertices = size[root]
         edges_in = edge_count.get(root, 0)
         ones = deg1_count.get(root, 0)
         if ones == 2 and edges_in == vertices - 1:

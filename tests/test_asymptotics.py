@@ -37,6 +37,28 @@ def test_solve_zeta_unit_weights_closed_form(alpha):
     assert abs(zeta - alpha / (1 + alpha)) <= 1e-12
 
 
+@pytest.mark.parametrize("alpha", (300.0, 1e3, 1e4))
+def test_solve_zeta_large_alpha(alpha):
+    # the slope of z P'/P is ~alpha(1+alpha)/zeta here, so one ulp of zeta
+    # moves the residual by more than any fixed absolute residual bound
+    u = ones_weights(4)
+    zeta = solve_zeta(alpha, u)
+    assert abs(zeta / (alpha / (1 + alpha)) - 1) <= 1e-12
+    assert abs(phi_second(zeta, u) / (alpha * (1 + alpha)) - 1) <= 1e-10
+
+
+def test_path_value_derivatives():
+    z = 0.4
+    ones = ones_weights(4)
+    assert path_value(z, ones, 1) == pytest.approx(1 / (1 - z) ** 2, rel=1e-15)
+    assert path_value(z, ones, 2) == pytest.approx(2 / (1 - z) ** 3, rel=1e-15)
+    u = np.array([1.0, 1.2, 0.8, 1.05])
+    h = 1e-5
+    for k in (1, 2):
+        fd = (path_value(z + h, u, k - 1) - path_value(z - h, u, k - 1)) / (2 * h)
+        assert path_value(z, u, k) == pytest.approx(fd, rel=1e-9)
+
+
 def test_solve_zeta_residual_off_unit_weights():
     u = np.array([1.0, 1.1, 0.9])
     zeta = solve_zeta(1.0, u)

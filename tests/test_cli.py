@@ -19,6 +19,24 @@ def test_exact_single_edge(capsys):
     assert blob["pmf"] == [{"counts": [0, 1], "num": 1, "den": 1}]
 
 
+def test_exact_builds_census_polynomial_once(capsys, monkeypatch):
+    from degseq import cli, exact
+
+    calls = []
+    original = exact.graph_gf
+
+    def counted(params):
+        calls.append(params)
+        return original(params)
+
+    monkeypatch.setattr(exact, "graph_gf", counted)
+    monkeypatch.setattr(cli, "graph_gf", counted)
+    code, out, _ = run_cli(["exact", "--n1", "4", "--n2", "4", "--q", "4"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+    assert sum(p["num"] / p["den"] for p in json.loads(out)["pmf"]) == pytest.approx(1.0)
+
+
 def test_exact_odd_n1_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "3", "--n2", "1"], capsys)
     assert code == 2
@@ -140,6 +158,23 @@ def test_asymptote_unit_weights_closed_form(capsys):
     blob = json.loads(out)
     assert blob["zeta"] == pytest.approx(0.5, abs=1e-12)
     assert blob["phi_second"] == pytest.approx(2.0, abs=1e-10)
+
+
+def test_asymptote_large_alpha_solves(capsys):
+    code, out, _ = run_cli(["asymptote", "--n1", "2", "--n2", "300", "--q", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["zeta"] == pytest.approx(300 / 301, rel=1e-12)
+
+
+def test_asymptote_non_finite_exits_2(capsys, monkeypatch):
+    # e.g. the float contour overflowing at large n1: no NaN may reach stdout
+    from degseq import cli
+
+    monkeypatch.setattr(cli, "contour_extract", lambda *args, **kwargs: float("nan"))
+    code, out, err = run_cli(["asymptote", "--n1", "20", "--alpha", "1", "--q", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "coefficient_estimate" in err
 
 
 def test_asymptote_rejects_too_many_weights(capsys):
