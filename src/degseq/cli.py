@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--model", choices=MODELS, default="simple")
     p_asym.add_argument("--u", help="comma-separated weights u_2..u_q (default all 1)")
     p_asym.add_argument("--u1", type=_positive_float, default=1.0, help="loop weight (multigraph)")
-    p_asym.add_argument("--points", type=int, default=1024, help="contour quadrature points")
+    p_asym.add_argument("--points", type=int, help="contour quadrature points (default: from zeta)")
     p_asym.add_argument("--out", help="output JSON path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")

@@ -14,6 +14,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 MODELS = ("simple", "multigraph")
 
@@ -221,12 +222,6 @@ class TruncatedSeries:
         s.coeffs[0] = MPoly.one(nvars)
         return s
 
-    @classmethod
-    def from_scalars(cls, values, nvars: int = 0) -> "TruncatedSeries":
-        """Series with constant (variable-free) coefficients, handy in tests."""
-        coeffs = [MPoly.constant(nvars, v) for v in values]
-        return cls(len(coeffs) - 1, nvars, coeffs)
-
     def coefficient(self, k: int) -> MPoly:
         return self.coeffs[k]
 
@@ -280,58 +275,34 @@ class TruncatedSeries:
         return TruncatedSeries(order, self.nvars, out)
 
     def __pow__(self, exponent: int):
+        """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+        O(order^2) products for any exponent.  Leading zero coefficients factor
+        out as a power of z; the lowest nonzero one must be a single term."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
-        result = TruncatedSeries.one(self.order, self.nvars)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        order, nvars = self.order, self.nvars
+        if exponent == 0:
+            return TruncatedSeries.one(order, nvars)
+        v = next((i for i, c in enumerate(self.coeffs) if c), order + 1)
+        shift = v * exponent
+        if shift > order:
+            return TruncatedSeries.zero(order, nvars)
+        if len(self.coeffs[v].terms) != 1:
+            raise ValueError("the lowest nonzero coefficient must be a single term")
+        ((lead, c0),) = self.coeffs[v].terms.items()
+        b0 = MPoly(nvars, {tuple(e * exponent for e in lead): c0**exponent})
+        k1 = exponent + 1
+        body = _miller(self.coeffs[v:], order - shift, b0, lead, c0, lambda j, m: k1 * j - m)
+        return TruncatedSeries(order, nvars, [MPoly.zero(nvars)] * shift + body)
 
     def exp(self) -> "TruncatedSeries":
-        """exp of a series with zero constant term, via (exp a)' = a' exp a."""
+        """exp of a series with zero constant term: (exp a)' = a' exp a gives
+        m b_m = sum_j j a_j b_{m-j}."""
         if not self.coeffs[0].is_zero():
             raise ValueError("exp requires a zero constant term")
         nvars = self.nvars
-        out = [MPoly.zero(nvars) for _ in range(self.order + 1)]
-        out[0] = MPoly.one(nvars)
-        for n in range(1, self.order + 1):
-            acc = MPoly.zero(nvars)
-            for k in range(1, n + 1):
-                ak = self.coeffs[k]
-                if ak.is_zero():
-                    continue
-                bk = out[n - k]
-                if bk.is_zero():
-                    continue
-                acc = acc + (ak * bk) * Fraction(k, n)
-            out[n] = acc
-        return TruncatedSeries(self.order, nvars, out)
-
-    def log(self) -> "TruncatedSeries":
-        """log of a series with constant term 1 (the inverse recurrence of
-        :meth:`exp`; sufficient for round-trip checks)."""
-        if self.coeffs[0] != MPoly.one(self.nvars):
-            raise ValueError("log requires constant term 1")
-        nvars = self.nvars
-        out = [MPoly.zero(nvars) for _ in range(self.order + 1)]
-        for n in range(1, self.order + 1):
-            acc = self.coeffs[n]
-            for k in range(1, n):
-                ck = out[k]
-                if ck.is_zero():
-                    continue
-                ank = self.coeffs[n - k]
-                if ank.is_zero():
-                    continue
-                acc = acc - (ck * ank) * Fraction(k, n)
-            out[n] = acc
-        return TruncatedSeries(self.order, nvars, out)
+        coeffs = _miller(self.coeffs, self.order, MPoly.one(nvars), (0,) * nvars, 1, lambda j, m: j)
+        return TruncatedSeries(self.order, nvars, coeffs)
 
     def __repr__(self):
         return "TruncatedSeries(order=%d, nvars=%d, [%s])" % (
@@ -339,6 +310,27 @@ class TruncatedSeries:
             self.nvars,
             ", ".join(repr(c) for c in self.coeffs),
         )
+
+
+def _miller(a, order, b0, lead, c0, weight):
+    """b_0..b_order of m*a_0*b_m = sum_{j=1..m} weight(j, m)*a_j*b_{m-j}, where
+    a_0 = c0*u^lead is one monomial: the term products of each m go into one
+    dict, and dividing by a_0 is a coefficient division and an exponent shift."""
+    out = [b0]
+    for m in range(1, order + 1):
+        acc = {}
+        for j in range(1, m + 1):
+            w = weight(j, m)
+            for e1, c1 in a[j].terms.items():
+                c1 = c1 * w
+                for e2, c2 in out[m - j].terms.items():
+                    key = tuple(map(add, e1, e2))
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        scale = Fraction(1, m) / c0
+        terms = {tuple(map(sub, e, lead)): c * scale for e, c in acc.items() if c}
+        assert all(min(e, default=0) >= 0 for e in terms), "a_0 does not divide the sum"
+        out.append(MPoly(b0.nvars, terms))
+    return out
 
 
 def _resolve_weights(q, u_values):

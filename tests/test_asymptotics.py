@@ -152,6 +152,13 @@ def test_contour_extract_multigraph_matches_exact():
     assert contour_extract(p) == pytest.approx(exact, rel=1e-8)
 
 
+def test_contour_extract_default_points_converge_near_unit_zeta():
+    # zeta = 300/301: 1024 points are off by 7e-2 here
+    p = GraphClassParams(2, 300, q=2)
+    exact = float(graph_gf_value(p) / v_factor(2, 300))
+    assert contour_extract(p) == pytest.approx(exact, rel=1e-8)
+
+
 def test_contour_extract_off_saddle_radius_agrees():
     # the Cauchy integral is radius-independent; quadrature at another radius
     # must land on the same coefficient

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -35,6 +37,16 @@ def test_exact_builds_census_polynomial_once(capsys, monkeypatch):
     assert code == 0
     assert len(calls) == 1
     assert sum(p["num"] / p["den"] for p in json.loads(out)["pmf"]) == pytest.approx(1.0)
+
+
+def test_exact_output_matches_pinned_digest(tmp_path, capsys):
+    # the digest perfbench/spec.json pins for the exact_census workload
+    out = tmp_path / "census.json"
+    code, _, _ = run_cli(["exact", "--n1", "20", "--n2", "20", "--q", "4", "--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "12ab7fd99266e0ab0eb2a0a8fdafff207b2ca75cd76d0e042dcde7dd4d6c2b34"
+    )
 
 
 def test_exact_odd_n1_exits_2(capsys):
@@ -175,6 +187,16 @@ def test_asymptote_non_finite_exits_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "coefficient_estimate" in err
+
+
+def test_asymptote_overflow_reports_one_error_line_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(["asymptote", "--n1", "2000", "--alpha", "1", "--q", "3"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: non-finite result field(s): coefficient_estimate"]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_asymptote_rejects_too_many_weights(capsys):

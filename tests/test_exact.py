@@ -146,6 +146,13 @@ def test_graph_gf_value_matches_poly_evaluation():
     assert graph_gf_value(p, u) == graph_gf(p).evaluate(u)
 
 
+def test_graph_gf_value_with_zero_u2_matches_poly_evaluation():
+    # u_2 = 0 makes the scalar path series start at z^1, so the path power
+    # cannot divide by its constant term
+    p = GraphClassParams(6, 4, q=3)
+    assert graph_gf_value(p, [1, 0, 1]) == graph_gf(p).evaluate([1, 0, 1])
+
+
 def test_joint_pmf_sums_to_one_exactly():
     pmf = joint_pmf(GraphClassParams(4, 4, q=8))
     assert sum(pmf.values()) == 1

@@ -19,15 +19,43 @@ def one_minus_z(order, nvars=0):
     return TruncatedSeries(order, nvars, coeffs)
 
 
+def from_scalars(values, nvars=0):
+    """Series with constant (variable-free) coefficients."""
+    coeffs = [MPoly.constant(nvars, v) for v in values]
+    return TruncatedSeries(len(coeffs) - 1, nvars, coeffs)
+
+
+def series_log(a):
+    """log of a series with constant term 1, by the inverse recurrence of
+    exp: m c_m = m a_m - sum_{k<m} k c_k a_{m-k}."""
+    if a.coeffs[0] != MPoly.one(a.nvars):
+        raise ValueError("log requires constant term 1")
+    out = [MPoly.zero(a.nvars) for _ in range(a.order + 1)]
+    for n in range(1, a.order + 1):
+        acc = a.coeffs[n]
+        for k in range(1, n):
+            acc = acc - (out[k] * a.coeffs[n - k]) * Fraction(k, n)
+        out[n] = acc
+    return TruncatedSeries(a.order, a.nvars, out)
+
+
+def repeated_product(a, k):
+    """a**k as k-fold repeated multiplication: the reference for __pow__."""
+    out = TruncatedSeries.one(a.order, a.nvars)
+    for _ in range(k):
+        out = out * a
+    return out
+
+
 def test_add_identity():
-    a = TruncatedSeries.from_scalars([F(1), F(2, 3), F(-5)])
+    a = from_scalars([F(1), F(2, 3), F(-5)])
     assert a + TruncatedSeries.zero(2, 0) == a
 
 
 def test_add_cancels_to_constant():
-    one_plus = TruncatedSeries.from_scalars([1, 1, 0])
-    one_minus = TruncatedSeries.from_scalars([1, -1, 0])
-    assert one_plus + one_minus == TruncatedSeries.from_scalars([2, 0, 0])
+    one_plus = from_scalars([1, 1, 0])
+    one_minus = from_scalars([1, -1, 0])
+    assert one_plus + one_minus == from_scalars([2, 0, 0])
 
 
 def test_path_at_unit_weights_is_geometric():
@@ -37,7 +65,7 @@ def test_path_at_unit_weights_is_geometric():
 
 
 def test_mul_identity():
-    a = TruncatedSeries.from_scalars([F(2), F(0), F(7, 2), F(-1)])
+    a = from_scalars([F(2), F(0), F(7, 2), F(-1)])
     assert a * TruncatedSeries.one(3, 0) == a
 
 
@@ -65,14 +93,25 @@ def test_exp_cycle_unit_weights_counts_two_regular_graphs():
 
 def test_exp_of_log_geometric_round_trip():
     geo = geometric(7)
-    assert geo.log().exp() == geo
+    assert series_log(geo).exp() == geo
 
 
 def test_pow_edge_cases():
-    a = TruncatedSeries.from_scalars([F(1), F(1), F(0)])
+    a = from_scalars([F(1), F(1), F(0)])
     assert a**0 == TruncatedSeries.one(2, 0)
     assert a**1 == a
-    assert a**2 == TruncatedSeries.from_scalars([1, 2, 1])
+    assert a**2 == from_scalars([1, 2, 1])
+    b = from_scalars([0, 0, F(3), F(-1), 0, 0, 0])
+    assert b**2 == from_scalars([0, 0, 0, 0, 9, -6, 1])
+    assert b**4 == TruncatedSeries.zero(6, 0)
+    assert TruncatedSeries.zero(6, 0) ** 0 == TruncatedSeries.one(6, 0)
+
+
+def test_pow_rejects_lowest_coefficient_with_several_terms():
+    lead = MPoly.variable(2, 1) + MPoly.variable(2, 2)
+    a = TruncatedSeries(3, 2, [MPoly.zero(2), lead, MPoly.one(2), MPoly.zero(2)])
+    with pytest.raises(ValueError):
+        a**2
 
 
 def test_build_path_patterns():
@@ -127,7 +166,7 @@ def test_exp_rejects_nonzero_constant():
 
 def test_log_rejects_non_unit_constant():
     with pytest.raises(ValueError):
-        TruncatedSeries.zero(3, 0).log()
+        series_log(TruncatedSeries.zero(3, 0))
 
 
 def test_builders_reject_small_q():
@@ -169,7 +208,29 @@ small_series_st = st.lists(mpoly_st, min_size=5, max_size=5).map(series_from)
 @settings(max_examples=40, deadline=None)
 def test_exp_log_round_trip(series):
     shifted = TruncatedSeries(series.order, 2, [MPoly.zero(2)] + series.coeffs[1:])
-    assert shifted.exp().log() == shifted
+    assert series_log(shifted.exp()) == shifted
+
+
+monomial_st = st.builds(
+    lambda exps, coeff: MPoly(2, {exps: coeff}),
+    exponents_st,
+    fractions_st.filter(bool),
+)
+
+
+@st.composite
+def monomial_led_series_st(draw):
+    """Series whose lowest nonzero coefficient is one monomial, after 0-2
+    leading zero coefficients."""
+    zeros = draw(st.integers(0, 2))
+    tail = draw(st.lists(mpoly_st, min_size=5 - zeros - 1, max_size=5 - zeros - 1))
+    return series_from([MPoly.zero(2)] * zeros + [draw(monomial_st)] + tail)
+
+
+@given(monomial_led_series_st(), st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_pow_matches_repeated_product(a, k):
+    assert a**k == repeated_product(a, k)
 
 
 @given(small_series_st, small_series_st)
