@@ -62,7 +62,12 @@ def _q_int(text: str) -> int:
 
 def _default_seed() -> int:
     env = os.environ.get("DEGSEQ_SEED")
-    return int(env) if env else 0
+    if not env:
+        return 0
+    try:
+        return _nonneg_int(env)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise DegseqError("DEGSEQ_SEED must be a nonnegative integer, got %r" % env) from None
 
 
 def _write_json(obj, path):
@@ -116,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--q", type=_q_int, default=2)
     p_sample.add_argument("--model", choices=MODELS, default="simple")
     p_sample.add_argument("--N", type=int, default=1000, dest="n_reps")
-    p_sample.add_argument("--seed", type=int, default=None)
+    p_sample.add_argument("--seed", type=_nonneg_int, default=None)
     p_sample.add_argument(
         "--workers", type=int, default=None, help="default: available parallelism"
     )

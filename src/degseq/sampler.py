@@ -16,29 +16,8 @@ import numpy as np
 from .errors import SamplingError, StructuralError
 from .exact import GraphClassParams
 
-_MASK64 = (1 << 64) - 1
-
-
-def substream_seed(seed: int, worker: int) -> int:
-    """Per-worker stream seed: the splitmix64 output sequence of the master
-    seed, so distinct workers get decorrelated, reproducible streams."""
-    state = seed & _MASK64
-    out = 0
-    for _ in range(worker + 1):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out = z ^ (z >> 31)
-    return out
-
-
-def _ensure_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if rng is None:
-        return np.random.default_rng()
-    return np.random.Generator(np.random.PCG64(rng))
+# replications per seeded chunk of run_experiment
+CHUNK_REPS = 100
 
 
 @dataclass(frozen=True)
@@ -79,7 +58,7 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     consecutive pairs); deterministic given the generator state."""
     if n1 % 2:
         raise ValueError("n1 must be even (stub count must be even)")
-    rng = _ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     owners = np.empty(n1 + 2 * n2, dtype=np.int64)
     owners[:n1] = np.arange(n1)
     owners[n1::2] = np.arange(n1, n1 + n2)
@@ -95,7 +74,7 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
 def sample_simple(n1: int, n2: int, rng=None, max_attempts: int = 10**6) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: resample pairings until there
     is no loop and no double edge."""
-    rng = _ensure_rng(rng)
+    rng = np.random.default_rng(rng)
     for attempt in range(1, max_attempts + 1):
         g = sample_multigraph(n1, n2, rng)
         if g.is_simple:
@@ -189,13 +168,7 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
                 counts[s - 1] += 1
             else:
                 tail += 1
-    path_roots = set()
-    for v in range(n1):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        path_roots.add(v)
-    n_paths = len(path_roots)
+    n_paths = len({_root(parent, v) for v in range(n1)})
     return ComponentCensus(
         counts=tuple(counts),
         tail_count=tail,
@@ -253,18 +226,13 @@ class ExperimentResult:
         return self.counts.shape[0]
 
 
-def _sample_block(params: GraphClassParams, seed: int, worker: int, n_reps: int):
-    rng = np.random.Generator(np.random.PCG64(substream_seed(seed, worker)))
-    q = params.q
-    counts = np.empty((n_reps, q), dtype=np.int64)
+def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_reps: int):
+    rng = np.random.default_rng(seed_seq)
+    draw = sample_simple if params.model == "simple" else sample_multigraph
+    counts = np.empty((n_reps, params.q), dtype=np.int64)
     tails = np.empty(n_reps, dtype=np.int64)
-    simple = params.model == "simple"
     for r in range(n_reps):
-        if simple:
-            g = sample_simple(params.n1, params.n2, rng)
-        else:
-            g = sample_multigraph(params.n1, params.n2, rng)
-        c = census(g, q)
+        c = census(draw(params.n1, params.n2, rng), params.q)
         counts[r] = c.counts
         tails[r] = c.tail_count
     return counts, tails
@@ -273,27 +241,25 @@ def _sample_block(params: GraphClassParams, seed: int, worker: int, n_reps: int)
 def run_experiment(
     params: GraphClassParams, n_reps: int, seed: int, workers: int = 1
 ) -> ExperimentResult:
-    """N independent censuses, reproducible from (seed, workers): worker w
-    owns the splitmix-derived substream w and a contiguous block of
-    replications, so the result is independent of scheduling order."""
+    """N independent censuses, fixed by the seed alone: chunk c holds
+    replications [CHUNK_REPS*c, CHUNK_REPS*(c+1)) and draws from child c of
+    SeedSequence(seed), so workers only share out chunks, and a run of N
+    replications is the first N rows of any longer run with the same seed."""
     if n_reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if params.n1 % 2:
         raise ValueError("n1 must be even")
-    workers = min(workers, n_reps)
-    base, extra = divmod(n_reps, workers)
-    blocks = [base + (1 if w < extra else 0) for w in range(workers)]
+    n_chunks = -(-n_reps // CHUNK_REPS)
+    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
+    sizes = [min(CHUNK_REPS, n_reps - CHUNK_REPS * c) for c in range(n_chunks)]
+    workers = min(workers, n_chunks)
     if workers == 1:
-        parts = [_sample_block(params, seed, 0, n_reps)]
+        parts = list(map(_sample_chunk, [params] * n_chunks, seeds, sizes))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sample_block, params, seed, w, blocks[w])
-                for w in range(workers)
-            ]
-            parts = [f.result() for f in futures]
+            parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes))
     counts = np.concatenate([p[0] for p in parts])
     tails = np.concatenate([p[1] for p in parts])
     return ExperimentResult(
@@ -320,6 +286,7 @@ def sidecar_metadata(result: ExperimentResult) -> dict:
         "seed": result.seed,
         "workers": result.workers,
         "n_reps": result.n_reps,
+        "chunk_reps": CHUNK_REPS,
         "params": {"n1": p.n1, "n2": p.n2, "q": p.q, "model": p.model},
         "columns": ["rep_id"] + ["U_%d" % j for j in range(1, p.q + 1)] + ["tail_count"],
     }

@@ -251,7 +251,7 @@ def check_structural_invariants() -> dict:
         ("multigraph", 2, 3, 2, 25000),
         ("simple", 4, 4, 8, 25000),
     ]
-    rng = np.random.Generator(np.random.PCG64(SEED_STRUCTURE))
+    rng = np.random.default_rng(SEED_STRUCTURE)
     violations = 0
     checked = 0
     for model, n1, n2, q, reps in batches:
@@ -282,7 +282,7 @@ def check_small_instance_distributions() -> dict:
     results = {}
     p = GraphClassParams(4, 4, q=8)
     pmf = joint_pmf(p)
-    rng = np.random.Generator(np.random.PCG64(SEED_GOF_SIMPLE))
+    rng = np.random.default_rng(SEED_GOF_SIMPLE)
     observed = Counter()
     for _ in range(100000):
         observed[census(sample_simple(4, 4, rng), 8).counts] += 1
@@ -293,7 +293,7 @@ def check_small_instance_distributions() -> dict:
         q = n1 + n2
         oracle = brute_force_multigraph(GraphClassParams(n1, n2, q=q, model="multigraph"))
         probs = {k: c / oracle.total for k, c in oracle.poly.terms.items()}
-        rng = np.random.Generator(np.random.PCG64(seed))
+        rng = np.random.default_rng(seed)
         observed = Counter()
         for _ in range(100000):
             observed[census(sample_multigraph(n1, n2, rng), q).counts] += 1

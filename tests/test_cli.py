@@ -153,6 +153,30 @@ def test_sample_env_seed_fallback(tmp_path, capsys, monkeypatch):
     assert meta["seed"] == 99
 
 
+def test_sample_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(
+        ["sample", "--n1", "4", "--n2", "2", "--N", "5", "--seed", "-1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "--seed" in err and "nonnegative" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "seven"])
+def test_sample_rejects_bad_env_seed(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setenv("DEGSEQ_SEED", value)
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(
+        ["sample", "--n1", "4", "--n2", "2", "--N", "5", "--workers", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 2
+    assert "DEGSEQ_SEED" in err
+    assert not out.exists()
+
+
 def test_asymptote_output(capsys):
     code, out, _ = run_cli(
         ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"], capsys

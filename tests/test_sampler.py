@@ -9,6 +9,7 @@ import pytest
 from degseq.errors import SamplingError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
 from degseq.sampler import (
+    CHUNK_REPS,
     StubMultigraph,
     census,
     compensation_factor,
@@ -16,7 +17,6 @@ from degseq.sampler import (
     sample_multigraph,
     sample_simple,
     sidecar_metadata,
-    substream_seed,
     validate_structure,
     write_samples_csv,
 )
@@ -132,12 +132,6 @@ def test_sample_simple_immediate_for_trivial_class():
     assert g.edges == ((0, 1),)
 
 
-def test_substream_seeds_distinct():
-    seeds = {substream_seed(12345, w) for w in range(64)}
-    assert len(seeds) == 64
-    assert substream_seed(1, 0) != substream_seed(2, 0)
-
-
 def test_run_experiment_deterministic():
     p = GraphClassParams(8, 6, q=4, model="multigraph")
     a = run_experiment(p, 50, seed=3)
@@ -160,9 +154,23 @@ def test_run_experiment_parallel_workers_deterministic():
     a = run_experiment(p, 40, seed=5, workers=2)
     b = run_experiment(p, 40, seed=5, workers=2)
     assert np.array_equal(a.counts, b.counts)
-    # block structure: worker 0's block equals a single-worker run of that block
+    # chunk prefix property: a run of N reps is the first N rows of any
+    # longer run with the same seed
     solo = run_experiment(p, 20, seed=5, workers=1)
     assert np.array_equal(a.counts[:20], solo.counts)
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+def test_run_experiment_output_independent_of_workers(model):
+    # 250 reps: two full chunks and a partial one
+    p = GraphClassParams.from_alpha(1.0, 40, q=3, model=model)
+    solo = run_experiment(p, 250, seed=7, workers=1)
+    pair = run_experiment(p, 250, seed=7, workers=2)
+    assert solo.counts.shape == (250, 3)
+    assert np.array_equal(solo.counts, pair.counts)
+    assert np.array_equal(solo.tail_counts, pair.tail_counts)
+    head = run_experiment(p, 130, seed=7, workers=2)
+    assert np.array_equal(head.counts, solo.counts[:130])
 
 
 def test_run_experiment_mean_component_count():
@@ -211,4 +219,5 @@ def test_csv_and_sidecar(tmp_path):
     meta = sidecar_metadata(r)
     blob = json.loads(json.dumps(meta))
     assert blob["seed"] == 1 and blob["params"]["n1"] == 4
+    assert blob["chunk_reps"] == CHUNK_REPS
     assert blob["columns"][0] == "rep_id"
