@@ -66,7 +66,6 @@ from .stats import (
     poisson_check,
     psd_check,
     standardize,
-    unstandardize,
 )
 
 __version__ = "0.1.0"

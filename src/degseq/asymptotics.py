@@ -128,14 +128,6 @@ def a_zero(zeta: float, u, model: str = "simple") -> float:
     return math.exp(cycle_value(float(zeta), u, model))
 
 
-def phi_value(theta: float, zeta: float, u, alpha: float) -> complex:
-    """Contour phase log Path(zeta,u) - log Path(zeta e^{i theta},u) + i alpha theta;
-    zero at theta = 0, positive real part elsewhere on [-pi, pi]."""
-    u = _as_weights(u)
-    w = zeta * cmath.exp(1j * theta)
-    return cmath.log(complex(path_value(zeta, u))) - cmath.log(path_value(w, u)) + 1j * alpha * theta
-
-
 @dataclass(frozen=True, eq=False)
 class SaddleData:
     """Everything the Laplace estimate needs at a given weight vector."""
@@ -274,22 +266,6 @@ def chi_value(t, alpha: float, q: int) -> float:
     )
 
 
-def b_value(t, alpha: float, q: int, model: str = "simple") -> float:
-    """Quasi-power prefactor B(t) = A(0,e^t)/A(0,1) *
-    sqrt(phi''(0,1)/phi''(0,e^t)); B(0) = 1."""
-    t = np.asarray(t, dtype=float)
-    if t.shape != (q - 1,):
-        raise ValueError("t must have length q-1 (components 2..q)")
-    u = np.ones(q)
-    u[1:] = np.exp(t)
-    ones = np.ones(q)
-    zeta_u = solve_zeta(alpha, u)
-    zeta_1 = solve_zeta(alpha, ones)
-    a_u = a_zero(zeta_u, u, model)
-    a_1 = a_zero(zeta_1, ones, model)
-    return (a_u / a_1) * math.sqrt(phi_second(zeta_1, ones) / phi_second(zeta_u, u))
-
-
 @dataclass(frozen=True, eq=False)
 class LimitLaw:
     """Limit distribution of the census vector: Gaussian mean coefficients and
@@ -324,20 +300,6 @@ def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:
         hessian=hessian_H(alpha, q),
         poisson_lambda=lam,
     )
-
-
-def central_gradient(f, x, h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient, the independent oracle for the
-    closed-form mean coefficients."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return out
 
 
 def central_hessian(f, x, h: float = FD_STEP) -> np.ndarray:

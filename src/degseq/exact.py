@@ -199,13 +199,6 @@ def census_exponents(sizes, q: int) -> tuple:
     return tuple(exps)
 
 
-def _component_sizes(n: int, edges) -> list:
-    uf = UnionFind(n)
-    for a, b in edges:
-        uf.union(a, b)
-    return uf.component_sizes()
-
-
 def _degree12_graphs(n1: int, n2: int):
     """Yield the edge list of every simple graph on vertices 0..n1+n2-1 whose
     degree multiset has exactly n1 ones and n2 twos.
@@ -259,7 +252,7 @@ def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
     n = n1 + n2
     counts = {}
     for edges in _degree12_graphs(n1, n2):
-        key = census_exponents(_component_sizes(n, edges), q)
+        key = census_exponents(UnionFind(n, edges).component_sizes(), q)
         counts[key] = counts.get(key, 0) + 1
     poly = MPoly(q, {k: Fraction(v) for k, v in counts.items()})
     return CensusPolynomial(poly, poly.coefficient_sum())
@@ -314,7 +307,7 @@ def brute_force_multigraph(params: GraphClassParams) -> CensusPolynomial:
     weight = Fraction(math.comb(n, n1), 1 << n2)
     masses = {}
     for pairs in _stub_pairings(owners):
-        key = census_exponents(_component_sizes(n, pairs), q)
+        key = census_exponents(UnionFind(n, pairs).component_sizes(), q)
         masses[key] = masses.get(key, 0) + 1
     poly = MPoly(q, {k: weight * v for k, v in masses.items()})
     return CensusPolynomial(poly, poly.coefficient_sum())

@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SamplingError, StructuralError
-from .exact import GraphClassParams
+from .exact import GraphClassParams, census_exponents
+from .unionfind import UnionFind
 
 # replications per seeded chunk of run_experiment
 CHUNK_REPS = 100
@@ -104,77 +105,33 @@ class ComponentCensus:
         return self.path_components + self.cycle_components
 
 
-def _forest(g: StubMultigraph):
-    """The one component labeller of the sampled graphs: a single pass over
-    the edges that counts endpoint degrees and unions the two ends in a
-    disjoint-set forest (union by size, path halving), kept inline because
-    it is the Monte Carlo hot loop.  Returns (parent, size).
-
-    Raises StructuralError if the edge multiset does not realize the declared
-    degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
-    """
-    n1 = g.n1
-    n = g.n1 + g.n2
-    occ = [0] * n
-    parent = list(range(n))
-    size = [1] * n
-    for a, b in g.edges:
-        occ[a] += 1
-        occ[b] += 1
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            if size[a] < size[b]:
-                a, b = b, a
-            parent[b] = a
-            size[a] += size[b]
-    if occ[:n1] != [1] * n1 or occ[n1:] != [2] * (n - n1):
+def _labelled(g: StubMultigraph) -> UnionFind:
+    """Component labelling of g.  Raises StructuralError if the edge multiset
+    does not realize the declared degree profile (degree 1 on the first n1
+    vertices, 2 elsewhere)."""
+    n1, n = g.n1, g.n1 + g.n2
+    uf = UnionFind(n, g.edges)
+    if uf.degree[:n1] != [1] * n1 or uf.degree[n1:] != [2] * (n - n1):
         raise StructuralError("edge endpoints do not match the degree profile")
-    return parent, size
-
-
-def _root(parent, v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
+    return uf
 
 
 def census(g: StubMultigraph, q: int) -> ComponentCensus:
-    """Component census via the disjoint-set forest over the edges.
-
-    Raises StructuralError if the edge multiset does not realize the declared
-    degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
-    """
+    """Component census of g.  Raises StructuralError if the edge multiset
+    does not realize the declared degree profile; once it does, every
+    component is a path or a cycle and each path holds two of the n1
+    degree-1 vertices, so there are n1/2 paths."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    n1 = g.n1
-    n = g.n1 + g.n2
-    parent, size = _forest(g)
-    counts = [0] * q
-    tail = 0
-    sizes_sum = 0
-    total_components = 0
-    for v in range(n):
-        if parent[v] == v:
-            s = size[v]
-            sizes_sum += s
-            total_components += 1
-            if s <= q:
-                counts[s - 1] += 1
-            else:
-                tail += 1
-    n_paths = len({_root(parent, v) for v in range(n1)})
+    sizes = _labelled(g).component_sizes()
+    counts = census_exponents(sizes, q)
+    n_paths = g.n1 // 2
     return ComponentCensus(
-        counts=tuple(counts),
-        tail_count=tail,
-        component_sizes_sum=sizes_sum,
+        counts=counts,
+        tail_count=len(sizes) - sum(counts),
+        component_sizes_sum=sum(sizes),
         path_components=n_paths,
-        cycle_components=total_components - n_paths,
+        cycle_components=len(sizes) - n_paths,
     )
 
 
@@ -182,13 +139,13 @@ def validate_structure(g: StubMultigraph) -> None:
     """Thorough per-component shape check: each component must be a path
     (exactly two degree-1 vertices, edges = vertices - 1) or a cycle (no
     degree-1 vertex, edges = vertices).  Raises StructuralError otherwise."""
-    parent, size = _forest(g)
-    edge_count = Counter(_root(parent, a) for a, _ in g.edges)
-    deg1_count = Counter(_root(parent, v) for v in range(g.n1))
+    uf = _labelled(g)
+    edge_count = Counter(uf.find(a) for a, _ in g.edges)
+    deg1_count = Counter(uf.find(v) for v in range(g.n1))
     for root in range(g.n_vertices):
-        if parent[root] != root:
+        if uf.parent[root] != root:
             continue
-        vertices = size[root]
+        vertices = uf.size[root]
         edges_in = edge_count.get(root, 0)
         ones = deg1_count.get(root, 0)
         if ones == 2 and edges_in == vertices - 1:

@@ -13,6 +13,11 @@ from scipy import stats as scipy_stats
 
 from .asymptotics import LimitLaw
 
+# loop-count cells of poisson_check, before the pooled tail cell
+POISSON_BUCKETS = (0, 1, 2)
+# chi_square_gof pools cells expected to hold fewer samples than this
+MIN_EXPECTED = 5.0
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -58,12 +63,6 @@ def standardize(counts: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:
     return (counts[:, 1:] - law.mean_coeffs * k) / math.sqrt(k)
 
 
-def unstandardize(v: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:
-    """Inverse of :func:`standardize` (columns = sizes 2..q)."""
-    k = n1 / 2.0
-    return np.asarray(v) * math.sqrt(k) + law.mean_coeffs * k
-
-
 def moment_report(v: np.ndarray, n1: int, n2: int) -> MomentReport:
     v = np.asarray(v, dtype=float)
     n = v.shape[0]
@@ -106,20 +105,18 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
-def poisson_check(
-    u1_samples, lam: float, significance: float = 0.001, buckets=(0, 1, 2)
-) -> Verdict:
+def poisson_check(u1_samples, lam: float, significance: float = 0.001) -> Verdict:
     """Chi-square goodness of fit of loop counts against Poisson(lam) with a
     pooled tail bucket, plus 4-standard-error checks on mean and variance."""
     x = np.asarray(u1_samples, dtype=float)
     n = x.size
-    observed = [float(np.count_nonzero(x == k)) for k in buckets]
+    observed = [float(np.count_nonzero(x == k)) for k in POISSON_BUCKETS]
     observed.append(float(n - sum(observed)))
-    probs = [poisson_pmf(k, lam) for k in buckets]
+    probs = [poisson_pmf(k, lam) for k in POISSON_BUCKETS]
     probs.append(1.0 - sum(probs))
     expected = [n * p for p in probs]
     stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    dof = len(buckets)  # cells - 1
+    dof = len(POISSON_BUCKETS)  # cells - 1
     p_value = float(scipy_stats.chi2.sf(stat, dof))
 
     mean = float(x.mean())
@@ -150,7 +147,6 @@ def chi_square_gof(
     observed: dict,
     probs: dict,
     n_samples: int,
-    min_expected: float = 5.0,
     significance: float = 0.001,
 ) -> Verdict:
     """Generic chi-square goodness of fit of observed outcome counts against
@@ -164,7 +160,7 @@ def chi_square_gof(
         support.add(key)
         exp = n_samples * float(p)
         obs = float(observed.get(key, 0))
-        if exp >= min_expected:
+        if exp >= MIN_EXPECTED:
             cells.append((obs, exp))
         else:
             pooled_exp += exp

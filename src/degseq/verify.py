@@ -14,7 +14,7 @@ import math
 import os
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -95,15 +95,7 @@ def _hessian_under_test(alpha: float, q: int) -> np.ndarray:
 
 
 def _law_under_test(alpha: float, q: int, model: str):
-    law = limit_law(alpha, q, model)
-    return type(law)(
-        alpha=law.alpha,
-        q=law.q,
-        model=law.model,
-        mean_coeffs=law.mean_coeffs,
-        hessian=_hessian_under_test(alpha, q),
-        poisson_lambda=law.poisson_lambda,
-    )
+    return replace(limit_law(alpha, q, model), hessian=_hessian_under_test(alpha, q))
 
 
 def check_exact_vs_bruteforce_simple() -> dict:

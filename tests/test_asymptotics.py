@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -5,10 +6,9 @@ import numpy as np
 import pytest
 
 from degseq.asymptotics import (
+    FD_STEP,
     a_zero,
     asymptotic_log_gf,
-    b_value,
-    central_gradient,
     central_hessian,
     check_path_positive,
     chi_value,
@@ -20,13 +20,51 @@ from degseq.asymptotics import (
     ones_weights,
     path_value,
     phi_second,
-    phi_value,
     saddle_data,
     solve_zeta,
     z_log_deriv_path,
 )
 from degseq.errors import DomainError
 from degseq.exact import GraphClassParams, graph_gf_value, v_factor
+
+
+def phi_value(theta: float, zeta: float, u, alpha: float) -> complex:
+    """Contour phase log Path(zeta,u) - log Path(zeta e^{i theta},u) + i alpha theta;
+    zero at theta = 0, positive real part elsewhere on [-pi, pi]."""
+    u = np.asarray(u, dtype=float)
+    w = zeta * cmath.exp(1j * theta)
+    return cmath.log(complex(path_value(zeta, u))) - cmath.log(path_value(w, u)) + 1j * alpha * theta
+
+
+def b_value(t, alpha: float, q: int, model: str = "simple") -> float:
+    """Quasi-power prefactor B(t) = A(0,e^t)/A(0,1) *
+    sqrt(phi''(0,1)/phi''(0,e^t)); B(0) = 1."""
+    t = np.asarray(t, dtype=float)
+    if t.shape != (q - 1,):
+        raise ValueError("t must have length q-1 (components 2..q)")
+    u = np.ones(q)
+    u[1:] = np.exp(t)
+    ones = np.ones(q)
+    zeta_u = solve_zeta(alpha, u)
+    zeta_1 = solve_zeta(alpha, ones)
+    a_u = a_zero(zeta_u, u, model)
+    a_1 = a_zero(zeta_1, ones, model)
+    return (a_u / a_1) * math.sqrt(phi_second(zeta_1, ones) / phi_second(zeta_u, u))
+
+
+def central_gradient(f, x, h: float = FD_STEP) -> np.ndarray:
+    """Central finite-difference gradient, the independent oracle for the
+    closed-form mean coefficients."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for i in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        out[i] = (f(xp) - f(xm)) / (2.0 * h)
+    return out
+
 
 ALPHAS = (0.1, 0.5, 1.0, 2.0, 10.0)
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from degseq.errors import SamplingError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
@@ -204,6 +206,38 @@ def test_structural_invariants_on_samples():
         assert c.component_sizes_sum == 11
         assert c.path_components == 3
         validate_structure(g)
+
+
+def _reference_census(g, q):
+    """Census from scipy's connected_components, independent of UnionFind."""
+    n = g.n_vertices
+    lo, hi = np.array(g.edges).T
+    adjacency = coo_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
+    _, labels = connected_components(adjacency, directed=False)
+    sizes = np.bincount(labels)
+    counts = tuple(int(np.count_nonzero(sizes == j)) for j in range(1, q + 1))
+    n_paths = len(set(labels[: g.n1].tolist()))
+    return counts, int(np.count_nonzero(sizes > q)), int(sizes.sum()), n_paths, sizes.size - n_paths
+
+
+@pytest.mark.parametrize("model", ("simple", "multigraph"))
+def test_census_matches_connected_components(model):
+    # 100 pairings per model, n1 + n2 from 3 to 3000 (log-uniform); q = 3 so
+    # the tail bucket fills
+    rng = np.random.default_rng(41)
+    draw = sample_simple if model == "simple" else sample_multigraph
+    q = 3
+    logs = rng.uniform(math.log(3), math.log(3000), 98)
+    n_values = [3, 3000] + np.rint(np.exp(logs)).astype(int).tolist()
+    tails = 0
+    for n in n_values:
+        n1 = 2 * int(rng.integers(0, n // 2 + 1))
+        g = draw(n1, n - n1, rng)
+        c = census(g, q)
+        got = (c.counts, c.tail_count, c.component_sizes_sum, c.path_components, c.cycle_components)
+        assert got == _reference_census(g, q)
+        tails += c.tail_count
+    assert tails > 0
 
 
 def test_csv_and_sidecar(tmp_path):

@@ -15,10 +15,15 @@ from degseq.stats import (
     poisson_check,
     psd_check,
     standardize,
-    unstandardize,
 )
 
 LAW1 = limit_law(1.0, 4, "simple")
+
+
+def unstandardize(v: np.ndarray, law, n1: int) -> np.ndarray:
+    """Inverse of :func:`degseq.stats.standardize` (columns = sizes 2..q)."""
+    k = n1 / 2.0
+    return np.asarray(v) * math.sqrt(k) + law.mean_coeffs * k
 
 
 def test_standardize_centered_counts_are_zero():
