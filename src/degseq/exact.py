@@ -109,42 +109,74 @@ def v_factor(n1: int, n2: int) -> Fraction:
     return Fraction(math.factorial(n1 + n2), (1 << (n1 // 2)) * math.factorial(n1 // 2))
 
 
-def _census_coefficient(params: GraphClassParams, u_values=None) -> MPoly:
-    """[z^{n2}] exp(Cyc(z)) * Path(z)^{n1/2} times the relabelling prefactor,
-    summed as E_i * P_{n2-i} over i: O(n2) products instead of the full
-    series product."""
-    order = params.n2
-    path = build_path_series(params.q, order, u_values)
-    cyc = build_cycle_series(params.q, order, params.model, u_values)
-    e, p = cyc.exp().coeffs, (path ** (params.n1 // 2)).coeffs
-    total = sum((e[i] * p[order - i] for i in range(order + 1)), MPoly.zero(path.nvars))
-    return total * v_factor(params.n1, params.n2)
-
-
 def graph_gf(params: GraphClassParams) -> CensusPolynomial:
-    """Exact joint census polynomial of the component counts.
+    """Exact joint census polynomial of the component counts:
+    [z^{n2}] exp(Cyc(z)) * Path(z)^{n1/2} times the relabelling prefactor,
+    summed as E_i * P_{n2-i} over i (O(n2) products instead of the full
+    series product).
 
     Odd n1 yields the zero polynomial (the class is empty: every path uses two
     degree-1 endpoints).
     """
+    q, order = params.q, params.n2
     if params.n1 % 2:
-        return CensusPolynomial(MPoly.zero(params.q), Fraction(0))
-    poly = _census_coefficient(params)
+        return CensusPolynomial(MPoly.zero(q), Fraction(0))
+    e = build_cycle_series(q, order, params.model).exp().coeffs
+    p = (build_path_series(q, order) ** (params.n1 // 2)).coeffs
+    total = sum((e[i] * p[order - i] for i in range(order + 1)), MPoly.zero(q))
+    poly = total * v_factor(params.n1, params.n2)
     return CensusPolynomial(poly, poly.coefficient_sum())
+
+
+def _times_one_minus_z(coeffs):
+    """(1 - z) times a series whose coefficients stay at coeffs[-1] beyond the
+    list: a polynomial of len(coeffs) terms."""
+    return [coeffs[0]] + [b - a for a, b in zip(coeffs, coeffs[1:])]
 
 
 def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     """Exact census polynomial evaluated at given rational weights.
 
-    Substitutes the weights before any series arithmetic, so large instances
-    stay cheap (scalar coefficients instead of multivariate polynomials).
-    ``u_values`` lists u_1..u_q; the default is all ones, i.e. the class size
-    (simple) or total pairing mass (multigraph).
+    With scalar weights F = exp(Cyc) * Path^k (k = n1/2) is D-finite: both
+    N = (1-z) Path and C = 2 (1-z) Cyc' are polynomials, so F solves
+    Q F' = R F with Q = 2 (1-z) N and R = N C + 2k ((1-z) N' + N), and its
+    coefficients follow a first-order recurrence of about 3q products each
+    (Stanley 1980; Flajolet-Sedgewick, Analytic Combinatorics, App. B.4).
+    When N = z^v * N~ (u_2 = 0), the recurrence runs on N~ and yields the
+    coefficients of F / z^{vk}.  ``u_values`` lists u_1..u_q; the default is
+    all ones, i.e. the class size (simple) or total pairing mass (multigraph).
     """
     if params.n1 % 2:
         return Fraction(0)
-    u = [1] * params.q if u_values is None else u_values
-    return _census_coefficient(params, u).constant_term()
+    q, k = params.q, params.n1 // 2
+    u = [Fraction(1)] * q if u_values is None else [as_fraction(x) for x in u_values]
+    if len(u) != q:
+        raise ValueError("need %d weights u_1..u_%d, got %d" % (q, q, len(u)))
+    w = u + [Fraction(1)]  # w[j - 1] = u_j, and 1 for every size j > q
+    n = _times_one_minus_z(w[1:])  # Path_i = u_{i+2}
+    v = next(i for i, x in enumerate(n) if x)  # Path is 1 from z^{q-1} on: N != 0
+    target = params.n2 - v * k
+    if target < 0:
+        return Fraction(0)
+    n = n[v:] + [Fraction(0)]
+    first = 3 if params.model == "simple" else 1
+    # [z^i] 2 Cyc' = u_{i+1} for cycle sizes i + 1 >= first
+    c = _times_one_minus_z([Fraction(0)] * (first - 1) + w[first - 1 :])
+    r = [Fraction(0)] * (len(n) + len(c))
+    for i in range(len(n) - 1):  # n[-1] = 0
+        r[i] += 2 * k * ((1 - i) * n[i] + (i + 1) * n[i + 1])
+        for j, cj in enumerate(c):
+            r[i + j] += n[i] * cj
+    qs = [2 * x for x in _times_one_minus_z(n)]
+    r_terms = [(i, x) for i, x in enumerate(r) if x]
+    q_terms = [(i, x) for i, x in enumerate(qs) if x and i]
+    f = [n[0] ** k]
+    # (m+1) Q_0 f_{m+1} = sum_i R_i f_{m-i} - sum_{i>=1} Q_i (m+1-i) f_{m+1-i}
+    for m in range(target):
+        acc = sum(ri * f[m - i] for i, ri in r_terms if i <= m)
+        acc -= sum(qi * (m + 1 - i) * f[m + 1 - i] for i, qi in q_terms if i <= m + 1)
+        f.append(acc / ((m + 1) * qs[0]))
+    return f[target] * v_factor(params.n1, params.n2)
 
 
 def joint_pmf(params: GraphClassParams) -> dict:

@@ -276,24 +276,17 @@ class TruncatedSeries:
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-        O(order^2) products for any exponent.  Leading zero coefficients factor
-        out as a power of z; the lowest nonzero one must be a single term."""
+        O(order^2) products for any exponent.  The constant coefficient must
+        be a single nonzero term."""
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a natural number")
-        order, nvars = self.order, self.nvars
-        if exponent == 0:
-            return TruncatedSeries.one(order, nvars)
-        v = next((i for i, c in enumerate(self.coeffs) if c), order + 1)
-        shift = v * exponent
-        if shift > order:
-            return TruncatedSeries.zero(order, nvars)
-        if len(self.coeffs[v].terms) != 1:
-            raise ValueError("the lowest nonzero coefficient must be a single term")
-        ((lead, c0),) = self.coeffs[v].terms.items()
-        b0 = MPoly(nvars, {tuple(e * exponent for e in lead): c0**exponent})
+        if len(self.coeffs[0].terms) != 1:
+            raise ValueError("the constant coefficient must be a single nonzero term")
+        ((lead, c0),) = self.coeffs[0].terms.items()
+        b0 = MPoly(self.nvars, {tuple(e * exponent for e in lead): c0**exponent})
         k1 = exponent + 1
-        body = _miller(self.coeffs[v:], order - shift, b0, lead, c0, lambda j, m: k1 * j - m)
-        return TruncatedSeries(order, nvars, [MPoly.zero(nvars)] * shift + body)
+        coeffs = _miller(self.coeffs, self.order, b0, lead, c0, lambda j, m: k1 * j - m)
+        return TruncatedSeries(self.order, self.nvars, coeffs)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term: (exp a)' = a' exp a gives
@@ -333,42 +326,22 @@ def _miller(a, order, b0, lead, c0, weight):
     return out
 
 
-def _resolve_weights(q, u_values):
-    """Normalize an optional weight list to exact values indexed by size."""
-    if u_values is None:
-        return None
-    u = [as_fraction(v) for v in u_values]
-    if len(u) != q:
-        raise ValueError("need %d weights u_1..u_%d, got %d" % (q, q, len(u)))
-    return u
-
-
-def build_path_series(q: int, order: int, u_values=None) -> TruncatedSeries:
+def build_path_series(q: int, order: int) -> TruncatedSeries:
     """Series of path components, z marking interior (degree-2) vertices.
 
     A path with k interior vertices is a component of size k+2, so the z^k
-    coefficient is u_{k+2} for k <= q-2 and 1 beyond (unmarked sizes).  With
-    ``u_values`` the weights are substituted up front and the result is a
-    variable-free series.
+    coefficient is u_{k+2} for k <= q-2 and 1 beyond (unmarked sizes).
     """
     if q < 2:
         raise ValueError("q must be >= 2")
-    u = _resolve_weights(q, u_values)
-    nvars = 0 if u is not None else q
     coeffs = []
     for k in range(order + 1):
         size = k + 2
-        if size <= q:
-            if u is not None:
-                coeffs.append(MPoly.constant(0, u[size - 1]))
-            else:
-                coeffs.append(MPoly.variable(q, size))
-        else:
-            coeffs.append(MPoly.one(nvars))
-    return TruncatedSeries(order, nvars, coeffs)
+        coeffs.append(MPoly.variable(q, size) if size <= q else MPoly.one(q))
+    return TruncatedSeries(order, q, coeffs)
 
 
-def build_cycle_series(q: int, order: int, model: str = "simple", u_values=None) -> TruncatedSeries:
+def build_cycle_series(q: int, order: int, model: str = "simple") -> TruncatedSeries:
     """Series of cycle components, z marking the (degree-2) vertices.
 
     Simple graphs have cycles of size >= 3 only: the z^j coefficient is
@@ -380,20 +353,15 @@ def build_cycle_series(q: int, order: int, model: str = "simple", u_values=None)
     if q < 2:
         raise ValueError("q must be >= 2")
     check_model(model)
-    u = _resolve_weights(q, u_values)
-    nvars = 0 if u is not None else q
     first = 3 if model == "simple" else 1
-    coeffs = [MPoly.zero(nvars)]
+    coeffs = [MPoly.zero(q)]
     for j in range(1, order + 1):
         if j < first:
-            coeffs.append(MPoly.zero(nvars))
+            coeffs.append(MPoly.zero(q))
             continue
         half = Fraction(1, 2 * j)
         if j <= q:
-            if u is not None:
-                coeffs.append(MPoly.constant(0, u[j - 1] * half))
-            else:
-                coeffs.append(MPoly.variable(q, j) * half)
+            coeffs.append(MPoly.variable(q, j) * half)
         else:
-            coeffs.append(MPoly.constant(nvars, half))
-    return TruncatedSeries(order, nvars, coeffs)
+            coeffs.append(MPoly.constant(q, half))
+    return TruncatedSeries(order, q, coeffs)

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degseq.errors import EmptyClassError
 from degseq.exact import (
@@ -147,10 +150,74 @@ def test_graph_gf_value_matches_poly_evaluation():
 
 
 def test_graph_gf_value_with_zero_u2_matches_poly_evaluation():
-    # u_2 = 0 makes the scalar path series start at z^1, so the path power
-    # cannot divide by its constant term
+    # u_2 = 0 makes N = (1-z) Path start at z^1, so the recurrence cannot
+    # divide by N_0 and runs on N / z instead
     p = GraphClassParams(6, 4, q=3)
     assert graph_gf_value(p, [1, 0, 1]) == graph_gf(p).evaluate([1, 0, 1])
+
+
+TILTED = (1, F(11, 10), F(9, 10), F(21, 20))
+
+
+@pytest.mark.parametrize(
+    "n1,n2,q,model,u,digest",
+    [
+        (320, 160, 2, "simple", None,
+         "137e65cf0967f9e9bd46b25b285f49b05dd889d7467bac454ff0d2c132283f30"),
+        (640, 320, 2, "simple", None,
+         "2d1d642fcb0c418e7f4dcc7dd3d8e5d7b7ba47348b732ae9184a7670f371c4fa"),
+        (640, 320, 2, "multigraph", None,
+         "9d44d681dcd356ed9ecfe17acd34b33ee9809491e7eea43aa764259f175ebdaa"),
+        (320, 160, 4, "simple", TILTED,
+         "22ef0f89ed01b235896254db9b67686b13bfca36ffe3fa20ee3a97014e110e35"),
+        (320, 160, 4, "multigraph", TILTED,
+         "0e61d9d03828d9b14c2460c1c21dfbc4358d54768948e880770526c7998215ca"),
+        (320, 160, 3, "simple", (1, 0, 1),
+         "93cd0ac47ee2aaeaafa41db88608e72e5a5d58d015ccee23be942bdea22465ab"),
+    ],
+)
+def test_graph_gf_value_pinned_digests(n1, n2, q, model, u, digest):
+    # SHA-256 of "num/den", computed with exp and the path power on Miller's
+    # recurrence before graph_gf_value moved to the D-finite recurrence
+    value = graph_gf_value(GraphClassParams(n1, n2, q=q, model=model), u)
+    text = "%d/%d" % (value.numerator, value.denominator)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+weight_st = st.fractions(min_value=-3, max_value=4, max_denominator=3)
+
+
+@st.composite
+def weighted_instance_st(draw):
+    q = draw(st.integers(2, 5))
+    p = GraphClassParams(
+        2 * draw(st.integers(0, 6)),
+        draw(st.integers(0, 10)),
+        q=q,
+        model=draw(st.sampled_from(("simple", "multigraph"))),
+    )
+    u = draw(st.none() | st.lists(weight_st, min_size=q, max_size=q))
+    if u is not None and draw(st.booleans()):
+        u[1] = F(0)
+    return p, u
+
+
+@given(weighted_instance_st())
+@settings(max_examples=80, deadline=None)
+def test_graph_gf_value_matches_multivariate_census(instance):
+    # the multivariate census runs exp and the path power on Miller's
+    # recurrence, so it is an independent reference for the D-finite one
+    p, u = instance
+    expected = graph_gf(p).evaluate([1] * p.q if u is None else u)
+    assert graph_gf_value(p, u) == expected
+
+
+def test_graph_gf_value_rejects_bad_weights():
+    p = GraphClassParams(4, 3, q=3)
+    with pytest.raises(TypeError):
+        graph_gf_value(p, [1, 0.5, 1])
+    with pytest.raises(ValueError):
+        graph_gf_value(p, [1, 1])
 
 
 def test_joint_pmf_sums_to_one_exactly():

@@ -59,9 +59,8 @@ def test_add_cancels_to_constant():
 
 
 def test_path_at_unit_weights_is_geometric():
-    path = build_path_series(3, 6, u_values=[1, 1, 1])
-    assert path == geometric(6)
-    assert path + (-geometric(6)) == TruncatedSeries.zero(6, 0)
+    path = build_path_series(3, 6)
+    assert [c.evaluate([1, 1, 1]) for c in path.coeffs] == [1] * 7
 
 
 def test_mul_identity():
@@ -86,8 +85,8 @@ def test_exp_of_zero():
 def test_exp_cycle_unit_weights_counts_two_regular_graphs():
     # coefficient of z^n times n! counts labelled graphs with all degrees 2:
     # none on 0..2 vertices, 1 triangle, 3 four-cycles
-    series = build_cycle_series(2, 4, u_values=[1, 1]).exp()
-    got = [series.coefficient(k).constant_term() for k in range(5)]
+    series = build_cycle_series(2, 4).exp()
+    got = [series.coefficient(k).coefficient_sum() for k in range(5)]
     assert got == [F(1), F(0), F(0), F(1, 6), F(1, 8)]
 
 
@@ -101,15 +100,19 @@ def test_pow_edge_cases():
     assert a**0 == TruncatedSeries.one(2, 0)
     assert a**1 == a
     assert a**2 == from_scalars([1, 2, 1])
-    b = from_scalars([0, 0, F(3), F(-1), 0, 0, 0])
-    assert b**2 == from_scalars([0, 0, 0, 0, 9, -6, 1])
-    assert b**4 == TruncatedSeries.zero(6, 0)
-    assert TruncatedSeries.zero(6, 0) ** 0 == TruncatedSeries.one(6, 0)
+    b = from_scalars([F(3), F(-1), 0, 0, 0, 0, 0])
+    assert b**2 == from_scalars([9, -6, 1, 0, 0, 0, 0])
+    assert b**0 == TruncatedSeries.one(6, 0)
+    for exponent in (0, 2):
+        with pytest.raises(ValueError):
+            from_scalars([0, 0, F(3), F(-1), 0, 0, 0]) ** exponent
+        with pytest.raises(ValueError):
+            TruncatedSeries.zero(6, 0) ** exponent
 
 
 def test_pow_rejects_lowest_coefficient_with_several_terms():
     lead = MPoly.variable(2, 1) + MPoly.variable(2, 2)
-    a = TruncatedSeries(3, 2, [MPoly.zero(2), lead, MPoly.one(2), MPoly.zero(2)])
+    a = TruncatedSeries(3, 2, [lead, MPoly.one(2), MPoly.zero(2), MPoly.zero(2)])
     with pytest.raises(ValueError):
         a**2
 
@@ -126,14 +129,14 @@ def test_build_path_patterns():
 
 
 def test_build_cycle_simple_unit_weights():
-    c = build_cycle_series(2, 5, u_values=[1, 1])
-    got = [c.coefficient(k).constant_term() for k in range(6)]
+    c = build_cycle_series(2, 5)
+    got = [c.coefficient(k).coefficient_sum() for k in range(6)]
     assert got == [0, 0, 0, F(1, 6), F(1, 8), F(1, 10)]
 
 
 def test_build_cycle_multigraph_unit_weights():
-    c = build_cycle_series(2, 3, "multigraph", u_values=[1, 1])
-    got = [c.coefficient(k).constant_term() for k in range(4)]
+    c = build_cycle_series(2, 3, "multigraph")
+    got = [c.coefficient(k).coefficient_sum() for k in range(4)]
     assert got == [0, F(1, 2), F(1, 4), F(1, 6)]
 
 
@@ -179,8 +182,6 @@ def test_builders_reject_small_q():
 def test_floats_rejected():
     with pytest.raises(TypeError):
         MPoly.constant(0, 0.5)
-    with pytest.raises(TypeError):
-        build_path_series(2, 2, u_values=[1.0, 2.0])
 
 
 def test_coefficients_stay_exact():
@@ -221,7 +222,7 @@ monomial_st = st.builds(
 @st.composite
 def monomial_led_series_st(draw):
     """Series whose lowest nonzero coefficient is one monomial, after 0-2
-    leading zero coefficients."""
+    leading zero coefficients (which __pow__ rejects)."""
     zeros = draw(st.integers(0, 2))
     tail = draw(st.lists(mpoly_st, min_size=5 - zeros - 1, max_size=5 - zeros - 1))
     return series_from([MPoly.zero(2)] * zeros + [draw(monomial_st)] + tail)
@@ -230,7 +231,11 @@ def monomial_led_series_st(draw):
 @given(monomial_led_series_st(), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_pow_matches_repeated_product(a, k):
-    assert a**k == repeated_product(a, k)
+    if a.coeffs[0].is_zero():
+        with pytest.raises(ValueError):
+            a**k
+    else:
+        assert a**k == repeated_product(a, k)
 
 
 @given(small_series_st, small_series_st)
@@ -243,24 +248,3 @@ def test_mul_commutative(a, b):
 @settings(max_examples=25, deadline=None)
 def test_mul_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
-
-
-@given(st.integers(2, 5), st.integers(0, 6))
-@settings(max_examples=30, deadline=None)
-def test_unit_weight_specialization_matches(q, order):
-    ones = [1] * q
-    for build in (build_path_series, build_cycle_series):
-        marked = build(q, order)
-        plain = build(q, order, u_values=ones)
-        for k in range(order + 1):
-            assert marked.coefficient(k).coefficient_sum() == plain.coefficient(k).constant_term()
-
-
-@given(st.integers(2, 5), st.integers(0, 6))
-@settings(max_examples=30, deadline=None)
-def test_multigraph_unit_weight_specialization_matches(q, order):
-    ones = [1] * q
-    marked = build_cycle_series(q, order, "multigraph")
-    plain = build_cycle_series(q, order, "multigraph", u_values=ones)
-    for k in range(order + 1):
-        assert marked.coefficient(k).coefficient_sum() == plain.coefficient(k).constant_term()
