@@ -1,6 +1,7 @@
 """Configuration-model sampling of degree-{1,2} multigraphs: uniform stub
 matching, rejection to simple graphs, component census, and a seeded,
-optionally parallel experiment harness.
+optionally parallel experiment harness that draws, rejects, labels and
+tallies a block of pairings per numpy call.
 """
 
 from __future__ import annotations
@@ -12,13 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import SamplingError, StructuralError
-from .exact import GraphClassParams, census_exponents
+from .exact import GraphClassParams, census_exponents, class_is_empty
 from .unionfind import UnionFind
 
 # replications per seeded chunk of run_experiment
 CHUNK_REPS = 100
+# vertices per block of pairings drawn at once (max(1, _BLOCK_VERTICES // n)
+# rows); bounds the block's memory, and affects speed only
+_BLOCK_VERTICES = 2**15
 
 
 @dataclass(frozen=True)
@@ -54,21 +60,31 @@ def _multigraph_from_endpoints(n1, n2, lo, hi) -> StubMultigraph:
     return StubMultigraph(n1, n2, edges, loops, doubles)
 
 
+def _stub_owners(n1: int, n2: int) -> np.ndarray:
+    """Vertex of each stub: one stub on each of the first n1 vertices, two on
+    each of the rest."""
+    owners = np.empty(n1 + 2 * n2, dtype=np.int32)
+    owners[:n1] = np.arange(n1)
+    owners[n1::2] = np.arange(n1, n1 + n2)
+    owners[n1 + 1 :: 2] = np.arange(n1, n1 + n2)
+    return owners
+
+
+def _endpoints(pairing: np.ndarray):
+    """(lo, hi) ends of the edges formed by consecutive stubs along the last
+    axis of a shuffled owner array."""
+    a = pairing[..., 0::2]
+    b = pairing[..., 1::2]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
 def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     """One uniform pairing of the stub multiset (Fisher-Yates shuffle, then
     consecutive pairs); deterministic given the generator state."""
     if n1 % 2:
         raise ValueError("n1 must be even (stub count must be even)")
     rng = np.random.default_rng(rng)
-    owners = np.empty(n1 + 2 * n2, dtype=np.int64)
-    owners[:n1] = np.arange(n1)
-    owners[n1::2] = np.arange(n1, n1 + n2)
-    owners[n1 + 1 :: 2] = np.arange(n1, n1 + n2)
-    perm = rng.permutation(owners)
-    a = perm[0::2]
-    b = perm[1::2]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    lo, hi = _endpoints(rng.permutation(_stub_owners(n1, n2)))
     return _multigraph_from_endpoints(n1, n2, lo, hi)
 
 
@@ -167,16 +183,59 @@ def compensation_factor(g: StubMultigraph) -> Fraction:
     return Fraction(1, denom)
 
 
+def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
+    """Census of a block of graphs on vertices 0..n1+n2-1, where row r of the
+    (rows, edges) arrays lo and hi holds the edge ends of graph r.  Returns
+    the (rows, q) matrix of U_1..U_q and the tail counts, equal row for row
+    to census() of each graph.  The block-diagonal union of all rows is
+    labelled in one connected_components call.  Raises StructuralError if a
+    row does not realize the degree profile (degree 1 on the first n1
+    vertices, 2 elsewhere)."""
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    n = n1 + n2
+    rows = lo.shape[0]
+    if lo.size and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= n):
+        raise StructuralError("edge endpoint outside the vertex range")
+    offset = (np.arange(rows, dtype=np.int64) * n)[:, None]
+    lo = (lo + offset).ravel()
+    hi = (hi + offset).ravel()
+    degree = np.bincount(np.concatenate((lo, hi)), minlength=rows * n).reshape(rows, n)
+    if (degree[:, :n1] != 1).any() or (degree[:, n1:] != 2).any():
+        raise StructuralError("edge endpoints do not match the degree profile")
+    graph = coo_matrix((np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(rows * n, rows * n))
+    n_comps, labels = connected_components(graph, directed=False)
+    sizes = np.bincount(labels, minlength=n_comps)
+    comp_row = np.empty(n_comps, dtype=np.int64)
+    comp_row[labels] = np.repeat(np.arange(rows), n)
+    bucket = comp_row * (q + 1) + np.minimum(sizes, q + 1) - 1
+    tally = np.bincount(bucket, minlength=rows * (q + 1)).reshape(rows, q + 1)
+    return tally[:, :q], tally[:, q]
+
+
+def acceptance_limit(params: GraphClassParams) -> float:
+    """Large-n share of pairings that are simple graphs, exp(-nu/2 - nu^2/4)
+    with nu = 2*n2/(n1 + 2*n2) the share of stubs on degree-2 vertices
+    (Bollobas 1980; Janson 2009); 1 in the multigraph model."""
+    stubs = params.n1 + 2 * params.n2
+    if params.model != "simple" or not stubs:
+        return 1.0
+    nu = 2 * params.n2 / stubs
+    return math.exp(-nu / 2 - nu * nu / 4)
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentResult:
     """Census matrix of one experiment: row r holds the census of replication
-    r as counts U_1..U_q plus the tail bucket."""
+    r as counts U_1..U_q plus the tail bucket.  pairings_examined counts, per
+    chunk, the pairings drawn up to its last accepted one."""
 
     params: GraphClassParams
     seed: int
     workers: int
     counts: np.ndarray
     tail_counts: np.ndarray
+    pairings_examined: int
 
     @property
     def n_reps(self) -> int:
@@ -184,30 +243,60 @@ class ExperimentResult:
 
 
 def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_reps: int):
+    """Censuses of the first n_reps accepted pairings of the chunk's row
+    stream, and the number of pairings examined up to the last of them.
+
+    Generator.permuted shuffles row after row with the draws of one
+    Generator.permutation each, so the rows are the pairings that successive
+    sample_multigraph calls would draw, and the output does not depend on
+    how the stream is cut into blocks."""
     rng = np.random.default_rng(seed_seq)
-    draw = sample_simple if params.model == "simple" else sample_multigraph
-    counts = np.empty((n_reps, params.q), dtype=np.int64)
-    tails = np.empty(n_reps, dtype=np.int64)
-    for r in range(n_reps):
-        c = census(draw(params.n1, params.n2, rng), params.q)
-        counts[r] = c.counts
-        tails[r] = c.tail_count
-    return counts, tails
+    n1, n2, q = params.n1, params.n2, params.q
+    n = n1 + n2
+    owners = _stub_owners(n1, n2)
+    simple = params.model == "simple"
+    accept = acceptance_limit(params)
+    max_rows = max(1, _BLOCK_VERTICES // max(n, 1))
+    counts, tails = [], []
+    need = n_reps
+    examined = 0
+    while need:
+        rows = min(max_rows, math.ceil(need / accept))
+        lo, hi = _endpoints(rng.permuted(np.broadcast_to(owners, (rows, owners.size)), axis=1))
+        if simple:
+            keys = np.sort(lo.astype(np.int64) * n + hi, axis=1)
+            bad = (lo == hi).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
+            kept = np.flatnonzero(~bad)[:need]
+            if kept.size == need:
+                rows = int(kept[-1]) + 1
+            lo, hi = lo[kept], hi[kept]
+        block_counts, block_tails = census_rows(n1, n2, q, lo, hi)
+        counts.append(block_counts)
+        tails.append(block_tails)
+        need -= lo.shape[0]
+        examined += rows
+    return np.concatenate(counts), np.concatenate(tails), examined
 
 
 def run_experiment(
     params: GraphClassParams, n_reps: int, seed: int, workers: int = 1
 ) -> ExperimentResult:
     """N independent censuses, fixed by the seed alone: chunk c holds
-    replications [CHUNK_REPS*c, CHUNK_REPS*(c+1)) and draws from child c of
-    SeedSequence(seed), so workers only share out chunks, and a run of N
-    replications is the first N rows of any longer run with the same seed."""
+    replications [CHUNK_REPS*c, CHUNK_REPS*(c+1)), the first accepted
+    pairings of the row stream of child c of SeedSequence(seed), so workers
+    only share out chunks, and a run of N replications is the first N rows of
+    any longer run with the same seed.  Raises SamplingError for an empty
+    class."""
     if n_reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if params.n1 % 2:
         raise ValueError("n1 must be even")
+    if class_is_empty(params.n1, params.n2, params.model):
+        raise SamplingError(
+            "no %s graph has n1=%d, n2=%d" % (params.model, params.n1, params.n2)
+        )
     n_chunks = -(-n_reps // CHUNK_REPS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(CHUNK_REPS, n_reps - CHUNK_REPS * c) for c in range(n_chunks)]
@@ -217,10 +306,13 @@ def run_experiment(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes))
-    counts = np.concatenate([p[0] for p in parts])
-    tails = np.concatenate([p[1] for p in parts])
     return ExperimentResult(
-        params=params, seed=seed, workers=workers, counts=counts, tail_counts=tails
+        params=params,
+        seed=seed,
+        workers=workers,
+        counts=np.concatenate([p[0] for p in parts]),
+        tail_counts=np.concatenate([p[1] for p in parts]),
+        pairings_examined=sum(p[2] for p in parts),
     )
 
 
@@ -244,6 +336,7 @@ def sidecar_metadata(result: ExperimentResult) -> dict:
         "workers": result.workers,
         "n_reps": result.n_reps,
         "chunk_reps": CHUNK_REPS,
+        "pairings_examined": result.pairings_examined,
         "params": {"n1": p.n1, "n2": p.n2, "q": p.q, "model": p.model},
         "columns": ["rep_id"] + ["U_%d" % j for j in range(1, p.q + 1)] + ["tail_count"],
     }

@@ -1,6 +1,7 @@
-"""The one component labeller: a disjoint-set forest (union by size, path
-halving) that also counts vertex degrees, used by the Monte Carlo census, the
-structure check and the brute-force oracles."""
+"""The single-graph component labeller: a disjoint-set forest (union by
+size, path halving) that also counts vertex degrees, used by census, the
+structure check and the brute-force oracles.  run_experiment labels whole
+blocks of graphs with sampler.census_rows instead."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ class UnionFind:
         self.add_edges(edges)
 
     def add_edges(self, edges) -> None:
-        # inline, not via find: this is the Monte Carlo hot loop
+        # inline, not via find: census runs this once per sampled graph
         parent, size, degree = self.parent, self.size, self.degree
         for a, b in edges:
             degree[a] += 1

@@ -41,7 +41,9 @@ from .exact import (
     v_factor,
 )
 from .sampler import (
+    acceptance_limit,
     census,
+    census_rows,
     compensation_factor,
     run_experiment,
     sample_multigraph,
@@ -209,18 +211,26 @@ def check_laplace_asymptotics() -> dict:
 
 
 def check_gaussian_limit() -> dict:
-    """Standardized census moments at n1=2000, N=20000 match N(0, H(1))."""
+    """Standardized census moments at n1=2000, N=20000 match N(0, H(1)).
+    Also reports the rejection sampler's acceptance against its closed-form
+    limit (not part of the verdict)."""
     p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="simple")
     law = _law_under_test(1.0, 4, "simple")
     result = run_experiment(p, 20000, seed=SEED_GAUSSIAN)
     v = standardize(result.counts, law, p.n1)
     report = moment_report(v, p.n1, p.n2)
     verdict = gaussian_check(report, law, tol_mean_se=4.0, tol_cov_abs=0.06)
+    acceptance = result.n_reps / result.pairings_examined
+    limit = acceptance_limit(p)
+    se = math.sqrt(acceptance * (1 - acceptance) / result.pairings_examined)
     return {
         "passed": verdict.passed,
         "seed": SEED_GAUSSIAN,
         "runtime_limit_s": 300,
         **verdict.details,
+        "acceptance": acceptance,
+        "acceptance_limit": limit,
+        "acceptance_gap_se": (acceptance - limit) / se,
     }
 
 
@@ -235,8 +245,10 @@ def check_poisson_limit() -> dict:
 
 def check_structural_invariants() -> dict:
     """Zero violations over 1e5 sampled graphs: sizes sum to n1+n2, path
-    count is n1/2, every component is a path or a cycle, and rejection
-    output always has compensation factor 1."""
+    count is n1/2, every component is a path or a cycle, rejection output
+    always has compensation factor 1, and the batch labeller (census_rows,
+    fed each batch's edges as one block) gives census()'s counts row for
+    row."""
     batches = [
         ("simple", 8, 6, 4, 25000),
         ("multigraph", 8, 6, 4, 25000),
@@ -245,14 +257,17 @@ def check_structural_invariants() -> dict:
     ]
     rng = np.random.default_rng(SEED_STRUCTURE)
     violations = 0
+    mismatches = 0
     checked = 0
     for model, n1, n2, q, reps in batches:
-        for _ in range(reps):
-            if model == "simple":
-                g = sample_simple(n1, n2, rng)
-            else:
-                g = sample_multigraph(n1, n2, rng)
+        draw = sample_simple if model == "simple" else sample_multigraph
+        graphs = [draw(n1, n2, rng) for _ in range(reps)]
+        edges = np.array([g.edges for g in graphs])
+        block_counts, block_tails = census_rows(n1, n2, q, edges[..., 0], edges[..., 1])
+        for g, counts, tail in zip(graphs, block_counts.tolist(), block_tails.tolist()):
             c = census(g, q)
+            if c.counts != tuple(counts) or c.tail_count != tail:
+                mismatches += 1
             ok = (
                 c.component_sizes_sum == n1 + n2
                 and c.path_components == n1 // 2
@@ -265,30 +280,34 @@ def check_structural_invariants() -> dict:
                 ok = False
             violations += not ok
             checked += 1
-    return {"passed": violations == 0, "violations": violations, "samples": checked}
+    return {
+        "passed": violations == 0 and mismatches == 0,
+        "violations": violations,
+        "batch_census_mismatches": mismatches,
+        "samples": checked,
+    }
+
+
+def _sampled_census_counts(p: GraphClassParams, seed: int) -> Counter:
+    result = run_experiment(p, 100000, seed=seed)
+    return Counter(map(tuple, result.counts.tolist()))
 
 
 def check_small_instance_distributions() -> dict:
-    """Sampled censuses match the exact laws: rejection sampler at (4,4)
-    against the census PMF, pairing sampler against the matching oracle."""
+    """Sampled censuses of run_experiment match the exact laws: rejection
+    sampling at (4,4) against the census PMF, pairings against the matching
+    oracle."""
     results = {}
     p = GraphClassParams(4, 4, q=8)
-    pmf = joint_pmf(p)
-    rng = np.random.default_rng(SEED_GOF_SIMPLE)
-    observed = Counter()
-    for _ in range(100000):
-        observed[census(sample_simple(4, 4, rng), 8).counts] += 1
-    verdict = chi_square_gof(observed, pmf, 100000, significance=0.001)
+    observed = _sampled_census_counts(p, SEED_GOF_SIMPLE)
+    verdict = chi_square_gof(observed, joint_pmf(p), 100000, significance=0.001)
     results["simple_4_4_p"] = verdict.details["p_value"]
     passed = verdict.passed
     for (n1, n2), seed in SEED_GOF_MULTI.items():
-        q = n1 + n2
-        oracle = brute_force_multigraph(GraphClassParams(n1, n2, q=q, model="multigraph"))
+        p = GraphClassParams(n1, n2, q=n1 + n2, model="multigraph")
+        oracle = brute_force_multigraph(p)
         probs = {k: c / oracle.total for k, c in oracle.poly.terms.items()}
-        rng = np.random.default_rng(seed)
-        observed = Counter()
-        for _ in range(100000):
-            observed[census(sample_multigraph(n1, n2, rng), q).counts] += 1
+        observed = _sampled_census_counts(p, seed)
         verdict = chi_square_gof(observed, probs, 100000, significance=0.001)
         results["multigraph_%d_%d_p" % (n1, n2)] = verdict.details["p_value"]
         passed = passed and verdict.passed

@@ -10,10 +10,13 @@ from scipy.sparse.csgraph import connected_components
 
 from degseq.errors import SamplingError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
+from degseq import sampler
 from degseq.sampler import (
     CHUNK_REPS,
     StubMultigraph,
+    acceptance_limit,
     census,
+    census_rows,
     compensation_factor,
     run_experiment,
     sample_multigraph,
@@ -127,6 +130,8 @@ def test_sample_simple_empty_class_raises():
     with pytest.raises(SamplingError) as err:
         sample_simple(0, 2, 1, max_attempts=500)
     assert "500" in str(err.value)
+    with pytest.raises(SamplingError):
+        run_experiment(GraphClassParams(0, 2), 5, seed=1)
 
 
 def test_sample_simple_immediate_for_trivial_class():
@@ -173,6 +178,72 @@ def test_run_experiment_output_independent_of_workers(model):
     assert np.array_equal(solo.tail_counts, pair.tail_counts)
     head = run_experiment(p, 130, seed=7, workers=2)
     assert np.array_equal(head.counts, solo.counts[:130])
+
+
+def _single_graph_rows(p, n_reps, seed):
+    """Census rows and pairings drawn when chunk c runs the single-graph
+    sampler (sample_simple's loop written out) on child c of
+    SeedSequence(seed)."""
+    rows, drawn = [], 0
+    children = np.random.SeedSequence(seed).spawn(-(-n_reps // CHUNK_REPS))
+    for c, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        for _ in range(min(CHUNK_REPS, n_reps - CHUNK_REPS * c)):
+            while True:
+                g = sample_multigraph(p.n1, p.n2, rng)
+                drawn += 1
+                if p.model == "multigraph" or g.is_simple:
+                    break
+            cen = census(g, p.q)
+            rows.append(list(cen.counts) + [cen.tail_count])
+    return rows, drawn
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+@pytest.mark.parametrize("n1,n_reps", [(40, 250), (2000, 120)])
+def test_run_experiment_matches_single_graph_sampler(model, n1, n_reps):
+    # the batch engine keeps the first accepted pairings of each chunk's row
+    # stream, which are the graphs the single-graph sampler returns from the
+    # same generator; at n1=2000 a chunk spans several blocks
+    p = GraphClassParams.from_alpha(1.0, n1, q=3, model=model)
+    r = run_experiment(p, n_reps, seed=11)
+    rows, drawn = _single_graph_rows(p, n_reps, 11)
+    assert np.column_stack((r.counts, r.tail_counts)).tolist() == rows
+    assert r.pairings_examined == drawn
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+def test_run_experiment_independent_of_block_size(model, monkeypatch):
+    # n = 60: one block per chunk by default, 34-row blocks at 2**11 vertices
+    p = GraphClassParams.from_alpha(1.0, 40, q=3, model=model)
+    wide = run_experiment(p, 250, seed=7)
+    monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 2**11)
+    narrow = run_experiment(p, 250, seed=7)
+    assert np.array_equal(wide.counts, narrow.counts)
+    assert np.array_equal(wide.tail_counts, narrow.tail_counts)
+    assert wide.pairings_examined == narrow.pairings_examined
+
+
+def test_acceptance_matches_closed_form():
+    # exp(-nu/2 - nu^2/4) with nu = 1/2 at alpha = 1 (Bollobas 1980; Janson 2009)
+    p = GraphClassParams.from_alpha(1.0, 2000, q=4)
+    assert acceptance_limit(p) == pytest.approx(0.7316156, abs=1e-7)
+    assert acceptance_limit(GraphClassParams(2000, 1000, q=4, model="multigraph")) == 1.0
+    r = run_experiment(p, 5000, seed=23)
+    rate = r.n_reps / r.pairings_examined
+    se = math.sqrt(rate * (1 - rate) / r.pairings_examined)
+    assert abs(rate - acceptance_limit(p)) <= 4 * se
+
+
+def test_census_rows_rejects_forged_degree_profile():
+    # n1 = 2, n2 = 1: the path 0-2-1 passes; next to it, a row with the edge
+    # 0-2 and a loop at 2 (degrees 1, 0, 3) fails, and so does a row naming
+    # vertex 3
+    good = (np.array([[0, 1]]), np.array([[2, 2]]))
+    assert [a.tolist() for a in census_rows(2, 1, 2, *good)] == [[[0, 0]], [1]]
+    for lo, hi in (([[0, 1], [0, 2]], [[2, 2], [2, 2]]), ([[0, 1]], [[2, 3]])):
+        with pytest.raises(StructuralError):
+            census_rows(2, 1, 2, np.array(lo), np.array(hi))
 
 
 def test_run_experiment_mean_component_count():
@@ -222,8 +293,9 @@ def _reference_census(g, q):
 
 @pytest.mark.parametrize("model", ("simple", "multigraph"))
 def test_census_matches_connected_components(model):
-    # 100 pairings per model, n1 + n2 from 3 to 3000 (log-uniform); q = 3 so
-    # the tail bucket fills
+    # 100 blocks of three pairings per model, n1 + n2 from 3 to 3000
+    # (log-uniform); q = 3 so the tail bucket fills.  census_rows labels each
+    # block at once and must give census()'s counts row for row.
     rng = np.random.default_rng(41)
     draw = sample_simple if model == "simple" else sample_multigraph
     q = 3
@@ -232,11 +304,15 @@ def test_census_matches_connected_components(model):
     tails = 0
     for n in n_values:
         n1 = 2 * int(rng.integers(0, n // 2 + 1))
-        g = draw(n1, n - n1, rng)
-        c = census(g, q)
-        got = (c.counts, c.tail_count, c.component_sizes_sum, c.path_components, c.cycle_components)
-        assert got == _reference_census(g, q)
-        tails += c.tail_count
+        graphs = [draw(n1, n - n1, rng) for _ in range(3)]
+        edges = np.array([g.edges for g in graphs])
+        block_counts, block_tails = census_rows(n1, n - n1, q, edges[..., 0], edges[..., 1])
+        for g, counts, tail in zip(graphs, block_counts.tolist(), block_tails.tolist()):
+            c = census(g, q)
+            got = (c.counts, c.tail_count, c.component_sizes_sum, c.path_components, c.cycle_components)
+            assert got == _reference_census(g, q)
+            assert (c.counts, c.tail_count) == (tuple(counts), tail)
+            tails += c.tail_count
     assert tails > 0
 
 
@@ -254,4 +330,5 @@ def test_csv_and_sidecar(tmp_path):
     blob = json.loads(json.dumps(meta))
     assert blob["seed"] == 1 and blob["params"]["n1"] == 4
     assert blob["chunk_reps"] == CHUNK_REPS
+    assert blob["pairings_examined"] == r.pairings_examined >= 5
     assert blob["columns"][0] == "rep_id"
