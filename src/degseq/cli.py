@@ -84,10 +84,11 @@ def _write_json(obj, path):
         sys.stdout.write(text)
 
 
-def _resolve_n2(args) -> int:
+def _params(args) -> GraphClassParams:
+    """The instance of --n1 with --n2, or with --alpha via from_alpha."""
     if args.n2 is not None:
-        return args.n2
-    return int(math.floor(args.alpha * args.n1 / 2))
+        return GraphClassParams(args.n1, args.n2, q=args.q, model=args.model)
+    return GraphClassParams.from_alpha(args.alpha, args.n1, q=args.q, model=args.model)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -176,14 +177,16 @@ def _cmd_limit_law(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    n2 = _resolve_n2(args)
-    if class_is_empty(args.n1, n2, args.model):
-        print("empty class: no graphs with n1=%d, n2=%d (%s)" % (args.n1, n2, args.model), file=sys.stderr)
+    params = _params(args)
+    if class_is_empty(params.n1, params.n2, params.model):
+        print(
+            "empty class: no graphs with n1=%d, n2=%d (%s)" % (params.n1, params.n2, params.model),
+            file=sys.stderr,
+        )
         return 2
     if args.n_reps < 1:
         print("N must be >= 1", file=sys.stderr)
         return 2
-    params = GraphClassParams(args.n1, n2, q=args.q, model=args.model)
     seed = args.seed if args.seed is not None else _default_seed()
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     result = run_experiment(params, args.n_reps, seed=seed, workers=workers)
@@ -193,8 +196,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_asymptote(args) -> int:
-    n2 = _resolve_n2(args)
-    params = GraphClassParams(args.n1, n2, q=args.q, model=args.model)
+    params = _params(args)
     u = [1.0] * args.q
     u[0] = args.u1
     if args.u:
@@ -205,7 +207,7 @@ def _cmd_asymptote(args) -> int:
         u[1 : 1 + len(tail)] = tail
     sd = saddle_data(params.alpha, u, args.model)
     payload = {
-        "params": {"n1": args.n1, "n2": n2, "q": args.q, "model": args.model},
+        "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
         "u": u,
         "zeta": sd.zeta,
         "phi_second": sd.phi2,

@@ -31,33 +31,29 @@ _BLOCK_VERTICES = 2**15
 class StubMultigraph:
     """Multigraph on vertices 0..n1+n2-1; the first n1 vertices carry one
     stub, the rest two.  Edges are canonical (min, max) pairs; loops are
-    (v, v)."""
+    (v, v).  The loop and double-edge counts are derived from the edges."""
 
     n1: int
     n2: int
     edges: tuple
-    loop_count: int
-    double_edge_count: int
 
     @property
     def n_vertices(self) -> int:
         return self.n1 + self.n2
 
     @property
+    def loop_count(self) -> int:
+        return sum(a == b for a, b in self.edges)
+
+    @property
+    def double_edge_count(self) -> int:
+        """Edges beyond the first copy of their pair; degrees <= 2 cap the
+        multiplicity at 2, so this is the number of double edges."""
+        return len(self.edges) - len(set(self.edges))
+
+    @property
     def is_simple(self) -> bool:
         return self.loop_count == 0 and self.double_edge_count == 0
-
-
-def _multigraph_from_endpoints(n1, n2, lo, hi) -> StubMultigraph:
-    loops = int(np.count_nonzero(lo == hi))
-    n = n1 + n2
-    keys = lo.astype(np.int64) * n + hi
-    _, counts = np.unique(keys, return_counts=True)
-    # degrees <= 2 cap edge multiplicity at 2 and forbid repeated loops, so
-    # every multiplicity-2 key is a double edge
-    doubles = int(np.count_nonzero(counts >= 2))
-    edges = tuple(zip(lo.tolist(), hi.tolist()))
-    return StubMultigraph(n1, n2, edges, loops, doubles)
 
 
 def _stub_owners(n1: int, n2: int) -> np.ndarray:
@@ -85,22 +81,22 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
         raise ValueError("n1 must be even (stub count must be even)")
     rng = np.random.default_rng(rng)
     lo, hi = _endpoints(rng.permutation(_stub_owners(n1, n2)))
-    return _multigraph_from_endpoints(n1, n2, lo, hi)
+    return StubMultigraph(n1, n2, tuple(zip(lo.tolist(), hi.tolist())))
 
 
-def sample_simple(n1: int, n2: int, rng=None, max_attempts: int = 10**6) -> StubMultigraph:
-    """Rejection-sample a uniform simple graph: resample pairings until there
-    is no loop and no double edge."""
+def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
+    """Rejection-sample a uniform simple graph: redraw pairings until there
+    is no loop and no double edge.  Raises SamplingError, before drawing,
+    if no simple graph has this degree profile."""
+    if n1 % 2:
+        raise ValueError("n1 must be even (stub count must be even)")
+    if class_is_empty(n1, n2, "simple"):
+        raise SamplingError("no simple graph has n1=%d, n2=%d" % (n1, n2))
     rng = np.random.default_rng(rng)
-    for attempt in range(1, max_attempts + 1):
+    while True:
         g = sample_multigraph(n1, n2, rng)
         if g.is_simple:
             return g
-    raise SamplingError(
-        "no simple graph accepted for n1=%d, n2=%d after %d attempts "
-        "(acceptance estimate 0/%d); the simple class may be empty"
-        % (n1, n2, max_attempts, max_attempts)
-    )
 
 
 @dataclass(frozen=True)
@@ -152,25 +148,14 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
 
 
 def validate_structure(g: StubMultigraph) -> None:
-    """Thorough per-component shape check: each component must be a path
-    (exactly two degree-1 vertices, edges = vertices - 1) or a cycle (no
-    degree-1 vertex, edges = vertices).  Raises StructuralError otherwise."""
-    uf = _labelled(g)
-    edge_count = Counter(uf.find(a) for a, _ in g.edges)
-    deg1_count = Counter(uf.find(v) for v in range(g.n1))
-    for root in range(g.n_vertices):
-        if uf.parent[root] != root:
-            continue
-        vertices = uf.size[root]
-        edges_in = edge_count.get(root, 0)
-        ones = deg1_count.get(root, 0)
-        if ones == 2 and edges_in == vertices - 1:
-            continue  # path
-        if ones == 0 and edges_in == vertices:
-            continue  # cycle (size 1 = loop, size 2 = double edge)
-        raise StructuralError(
-            "component at root %d is neither a path nor a cycle" % root
-        )
+    """Raises StructuralError unless every component of g is a path or a
+    cycle, which holds exactly when g realizes its degree profile (degree 1
+    on the first n1 vertices, 2 elsewhere).  Proof: a connected component
+    with v vertices, t of degree 1 and the rest of degree 2, has v - t/2
+    edges; being connected it has at least v - 1, so t is 0 or 2.  With
+    t = 2 it has v - 1 edges and is a path; with t = 0 it has v edges and is
+    a cycle (a loop or a double edge counts as a cycle)."""
+    _labelled(g)
 
 
 def compensation_factor(g: StubMultigraph) -> Fraction:
@@ -320,13 +305,8 @@ def write_samples_csv(result: ExperimentResult, path: str) -> None:
     """CSV stream of the census matrix: rep_id, U_1..U_q, tail_count."""
     q = result.params.q
     header = "rep_id," + ",".join("U_%d" % j for j in range(1, q + 1)) + ",tail_count"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for r in range(result.n_reps):
-            row = result.counts[r]
-            fh.write(
-                "%d,%s,%d\n" % (r, ",".join(str(int(x)) for x in row), result.tail_counts[r])
-            )
+    rows = np.column_stack((np.arange(result.n_reps), result.counts, result.tail_counts))
+    np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
 
 
 def sidecar_metadata(result: ExperimentResult) -> dict:

@@ -106,18 +106,16 @@ def poisson_pmf(k: int, lam: float) -> float:
 
 
 def poisson_check(u1_samples, lam: float, significance: float = 0.001) -> Verdict:
-    """Chi-square goodness of fit of loop counts against Poisson(lam) with a
-    pooled tail bucket, plus 4-standard-error checks on mean and variance."""
+    """Chi-square goodness of fit (chi_square_gof) of loop counts against
+    Poisson(lam) over the POISSON_BUCKETS cells and a tail cell, plus
+    4-standard-error checks on mean and variance."""
     x = np.asarray(u1_samples, dtype=float)
     n = x.size
-    observed = [float(np.count_nonzero(x == k)) for k in POISSON_BUCKETS]
-    observed.append(float(n - sum(observed)))
-    probs = [poisson_pmf(k, lam) for k in POISSON_BUCKETS]
-    probs.append(1.0 - sum(probs))
-    expected = [n * p for p in probs]
-    stat = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
-    dof = len(POISSON_BUCKETS)  # cells - 1
-    p_value = float(scipy_stats.chi2.sf(stat, dof))
+    observed = {k: int(np.count_nonzero(x == k)) for k in POISSON_BUCKETS}
+    observed["tail"] = n - sum(observed.values())
+    probs = {k: poisson_pmf(k, lam) for k in POISSON_BUCKETS}
+    probs["tail"] = 1.0 - sum(probs.values())
+    fit = chi_square_gof(observed, probs, n, significance)
 
     mean = float(x.mean())
     var = float(x.var(ddof=1))
@@ -126,14 +124,14 @@ def poisson_check(u1_samples, lam: float, significance: float = 0.001) -> Verdic
     se_var = math.sqrt(max(m4 - var * var, 0.0) / n)
     mean_ok = abs(mean - lam) <= 4.0 * se_mean
     var_ok = abs(var - lam) <= 4.0 * se_var
-    passed = bool(p_value >= significance and mean_ok and var_ok)
+    passed = bool(fit.passed and mean_ok and var_ok)
     return Verdict(
         passed,
         "poisson-loops",
         {
             "lambda": lam,
-            "p_value": p_value,
-            "chi2_stat": float(stat),
+            "p_value": fit.details["p_value"],
+            "chi2_stat": fit.details["chi2_stat"],
             "mean": mean,
             "variance": var,
             "mean_dev_se": abs(mean - lam) / se_mean if se_mean else 0.0,

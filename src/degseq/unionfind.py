@@ -1,7 +1,8 @@
 """The single-graph component labeller: a disjoint-set forest (union by
 size, path halving) that also counts vertex degrees, used by census, the
-structure check and the brute-force oracles.  run_experiment labels whole
-blocks of graphs with sampler.census_rows instead."""
+degree-profile check of validate_structure and the brute-force oracles.
+run_experiment labels whole blocks of graphs with sampler.census_rows
+instead."""
 
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ class UnionFind:
         self.add_edges(edges)
 
     def add_edges(self, edges) -> None:
-        # inline, not via find: census runs this once per sampled graph
+        # root walks inline: census runs this once per sampled graph
         parent, size, degree = self.parent, self.size, self.degree
         for a, b in edges:
             degree[a] += 1
@@ -40,13 +41,6 @@ class UnionFind:
         """Add the one edge (a, b).  No package code calls it; it stays a
         class attribute because perfbench/spans.py counts its calls."""
         self.add_edges(((a, b),))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
     def component_sizes(self) -> list:
         size = self.size

@@ -125,6 +125,21 @@ def test_sample_writes_csv_and_sidecar(tmp_path, capsys):
     assert out.read_bytes() == first
 
 
+def test_sample_csv_matches_pinned_digest(tmp_path, capsys):
+    # output does not depend on --workers, so one worker gives the CSV of
+    # `degseq sample --n1 200 --alpha 1 --q 4 --N 250 --seed 7`
+    out = tmp_path / "s.csv"
+    args = [
+        "sample", "--n1", "200", "--alpha", "1", "--q", "4",
+        "--N", "250", "--seed", "7", "--workers", "1", "--out", str(out),
+    ]
+    code, _, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e56087c2c013505cac7c79bcd7ef5e5178918be9f716206a94e970e673c5f8e3"
+    )
+
+
 def test_sample_conflicting_n2_alpha_usage_error(capsys):
     code, _, _ = run_cli(
         ["sample", "--n1", "4", "--n2", "2", "--alpha", "1", "--out", "x.csv"], capsys

@@ -2,6 +2,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from degseq.sampler import (
     validate_structure,
     write_samples_csv,
 )
+from degseq.unionfind import UnionFind
 
 F = Fraction
 
@@ -72,8 +74,6 @@ def test_census_handcrafted_path_plus_triangle():
         n1=2,
         n2=5,
         edges=((0, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)),
-        loop_count=0,
-        double_edge_count=0,
     )
     c = census(g, 4)
     assert c.counts == (0, 0, 1, 1)
@@ -92,7 +92,7 @@ def test_census_tail_bucket():
 
 
 def test_census_rejects_bad_degrees():
-    g = StubMultigraph(n1=2, n2=1, edges=((0, 1), (1, 2)), loop_count=0, double_edge_count=0)
+    g = StubMultigraph(n1=2, n2=1, edges=((0, 1), (1, 2)))
     with pytest.raises(StructuralError):
         census(g, 2)
     with pytest.raises(StructuralError):
@@ -101,7 +101,7 @@ def test_census_rejects_bad_degrees():
 
 def test_validate_structure_rejects_forged_component():
     # only vertex 0 is looped, vertex 1 is left with degree 0
-    g = StubMultigraph(n1=0, n2=2, edges=((0, 0),), loop_count=1, double_edge_count=0)
+    g = StubMultigraph(n1=0, n2=2, edges=((0, 0),))
     with pytest.raises(StructuralError):
         validate_structure(g)
     with pytest.raises(StructuralError):
@@ -111,12 +111,14 @@ def test_validate_structure_rejects_forged_component():
 def test_compensation_factor_values():
     simple = sample_simple(4, 2, 7)
     assert compensation_factor(simple) == 1
-    loop = StubMultigraph(0, 1, ((0, 0),), 1, 0)
+    loop = StubMultigraph(0, 1, ((0, 0),))
     assert compensation_factor(loop) == F(1, 2)
-    double = StubMultigraph(0, 2, ((0, 1), (0, 1)), 0, 1)
+    double = StubMultigraph(0, 2, ((0, 1), (0, 1)))
     assert compensation_factor(double) == F(1, 2)
-    two_loops = StubMultigraph(0, 2, ((0, 0), (1, 1)), 2, 0)
+    two_loops = StubMultigraph(0, 2, ((0, 0), (1, 1)))
     assert compensation_factor(two_loops) == F(1, 4)
+    assert (loop.loop_count, double.double_edge_count, two_loops.loop_count) == (1, 1, 2)
+    assert not (loop.is_simple or double.is_simple) and simple.is_simple
 
 
 def test_sample_simple_triangle_only_outcome():
@@ -127,16 +129,26 @@ def test_sample_simple_triangle_only_outcome():
 
 
 def test_sample_simple_empty_class_raises():
-    with pytest.raises(SamplingError) as err:
-        sample_simple(0, 2, 1, max_attempts=500)
-    assert "500" in str(err.value)
-    with pytest.raises(SamplingError):
-        run_experiment(GraphClassParams(0, 2), 5, seed=1)
+    # the closed-form emptiness test answers before any draw
+    for n2 in (1, 2):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplingError):
+            sample_simple(0, n2, rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(SamplingError):
+            run_experiment(GraphClassParams(0, n2), 5, seed=1)
+    with pytest.raises(ValueError):
+        sample_simple(3, 1, 1)
 
 
 def test_sample_simple_immediate_for_trivial_class():
-    g = sample_simple(2, 0, 9, max_attempts=1)
+    # the single edge 0-1 is simple, so one permutation is drawn
+    rng, twin = np.random.default_rng(9), np.random.default_rng(9)
+    g = sample_simple(2, 0, rng)
     assert g.edges == ((0, 1),)
+    twin.permutation(2)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_run_experiment_deterministic():
@@ -277,6 +289,88 @@ def test_structural_invariants_on_samples():
         assert c.component_sizes_sum == 11
         assert c.path_components == 3
         validate_structure(g)
+
+
+def _root(uf, v):
+    while uf.parent[v] != v:
+        v = uf.parent[v]
+    return v
+
+
+def _two_pass_structure_ok(g):
+    """The per-component rule validate_structure used to apply after the
+    degree check: every component is a path (two degree-1 vertices,
+    edges = vertices - 1) or a cycle (none, edges = vertices)."""
+    uf = UnionFind(g.n_vertices, g.edges)
+    if uf.degree != [1] * g.n1 + [2] * g.n2:
+        return False
+    edge_count = Counter(_root(uf, a) for a, _ in g.edges)
+    deg1_count = Counter(_root(uf, v) for v in range(g.n1))
+    for root, p in enumerate(uf.parent):
+        if p != root:
+            continue
+        vertices, edges_in, ones = uf.size[root], edge_count[root], deg1_count[root]
+        if not ((ones == 2 and edges_in == vertices - 1) or (ones == 0 and edges_in == vertices)):
+            return False
+    return True
+
+
+def test_validate_structure_is_the_degree_check_exhaustively():
+    # every edge multiset on n <= 6 vertices with n1/2 + n2 edges (n1 even):
+    # the degree-profile check alone raises exactly when the two-pass rule
+    # rejects
+    checked = accepted = 0
+    for n in range(1, 7):
+        pairs = list(combinations_with_replacement(range(n), 2))
+        for n1 in range(0, n + 1, 2):
+            for edges in combinations_with_replacement(pairs, n1 // 2 + n - n1):
+                g = StubMultigraph(n1, n - n1, edges)
+                try:
+                    validate_structure(g)
+                    ok = True
+                except StructuralError:
+                    ok = False
+                assert ok == _two_pass_structure_ok(g), edges
+                checked += 1
+                accepted += ok
+    assert (checked, accepted) == (312202, 690)
+
+
+@pytest.mark.parametrize("model", ("simple", "multigraph"))
+def test_defect_counts_match_engine_rule(model):
+    # blocks of pairings drawn as the engine draws them (rng.permuted over
+    # rows of the stub-owner array); per row, StubMultigraph's derived counts
+    # agree with the engine's lo == hi and repeated-sorted-key rule
+    rng = np.random.default_rng(43 if model == "simple" else 47)
+    q = 3
+    logs = rng.uniform(math.log(3), math.log(3000), 58)
+    n_values = [3, 3000] + np.rint(np.exp(logs)).astype(int).tolist()
+    defective = 0
+    for n in n_values:
+        n1 = 2 * int(rng.integers(0, n // 2 + 1))
+        owners = sampler._stub_owners(n1, n - n1)
+        block = rng.permuted(np.broadcast_to(owners, (8, owners.size)), axis=1)
+        lo, hi = sampler._endpoints(block)
+        keys = np.sort(lo.astype(np.int64) * n + hi, axis=1)
+        loops = (lo == hi).sum(axis=1).tolist()
+        repeats = (keys[:, 1:] == keys[:, :-1]).sum(axis=1).tolist()
+        graphs = [StubMultigraph(n1, n - n1, tuple(zip(a, b))) for a, b in zip(lo.tolist(), hi.tolist())]
+        for g, row_loops, row_repeats in zip(graphs, loops, repeats):
+            assert (g.loop_count, g.double_edge_count) == (row_loops, row_repeats)
+            assert g.is_simple == (row_loops == row_repeats == 0)
+            defective += not g.is_simple
+        if model == "multigraph":
+            # a loop is a component of size 1
+            counts, _ = census_rows(n1, n - n1, q, lo, hi)
+            assert counts[:, 0].tolist() == loops
+        else:
+            # the rows the engine keeps are the simple ones, census for census
+            kept = [r for r, g in enumerate(graphs) if g.is_simple]
+            counts, tails = census_rows(n1, n - n1, q, lo[kept], hi[kept])
+            for r, row, tail in zip(kept, counts.tolist(), tails.tolist()):
+                c = census(graphs[r], q)
+                assert (c.counts, c.tail_count) == (tuple(row), tail)
+    assert defective > 0
 
 
 def _reference_census(g, q):
