@@ -3,7 +3,8 @@
 Subcommands: exact (census polynomial + PMF), limit-law (Gaussian/Poisson
 parameters), sample (configuration-model Monte Carlo to CSV), asymptote
 (saddle data, Laplace estimate, contour coefficient), verify (acceptance
-battery).  Exit status: 0 success, 1 check failure, 2 usage or domain error.
+battery).  Exit status: 0 success, 1 check failure, 2 usage, domain or I/O
+error.
 """
 
 from __future__ import annotations
@@ -252,7 +253,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (DegseqError, ValueError) as exc:
+    except (DegseqError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

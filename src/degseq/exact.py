@@ -21,6 +21,7 @@ from .series import (
     build_cycle_series,
     build_path_series,
     check_model,
+    product_coefficient,
 )
 from .unionfind import UnionFind
 
@@ -112,19 +113,16 @@ def v_factor(n1: int, n2: int) -> Fraction:
 def graph_gf(params: GraphClassParams) -> CensusPolynomial:
     """Exact joint census polynomial of the component counts:
     [z^{n2}] exp(Cyc(z)) * Path(z)^{n1/2} times the relabelling prefactor,
-    summed as E_i * P_{n2-i} over i (O(n2) products instead of the full
-    series product).
+    convolved on integer numerators by ``series.product_coefficient``.
 
     Odd n1 yields the zero polynomial (the class is empty: every path uses two
     degree-1 endpoints).
     """
-    q, order = params.q, params.n2
+    q, n2 = params.q, params.n2
     if params.n1 % 2:
         return CensusPolynomial(MPoly.zero(q), Fraction(0))
-    e = build_cycle_series(q, order, params.model).exp().coeffs
-    p = (build_path_series(q, order) ** (params.n1 // 2)).coeffs
-    total = sum((e[i] * p[order - i] for i in range(order + 1)), MPoly.zero(q))
-    poly = total * v_factor(params.n1, params.n2)
+    cyc, path = build_cycle_series(q, n2, params.model), build_path_series(q, n2)
+    poly = product_coefficient(cyc, path, params.n1 // 2, v_factor(params.n1, n2))
     return CensusPolynomial(poly, poly.coefficient_sum())
 
 
@@ -145,6 +143,12 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     When N = z^v * N~ (u_2 = 0), the recurrence runs on N~ and yields the
     coefficients of F / z^{vk}.  ``u_values`` lists u_1..u_q; the default is
     all ones, i.e. the class size (simple) or total pairing mass (multigraph).
+
+    The recurrence runs on integers: with Q^ = L Q and R^ = L R (L the lcm of
+    their denominators), f_m = f_0 g_m / (m! Q^_0^m) where
+    g_{m+1} = sum_i R^_i m!/(m-i)! Q^_0^i g_{m-i}
+              - sum_{1<=i<=m} Q^_i m!/(m-i)! Q^_0^{i-1} g_{m+1-i},
+    and only the coefficient read out becomes a Fraction.
     """
     if params.n1 % 2:
         return Fraction(0)
@@ -168,15 +172,23 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
         for j, cj in enumerate(c):
             r[i + j] += n[i] * cj
     qs = [2 * x for x in _times_one_minus_z(n)]
-    r_terms = [(i, x) for i, x in enumerate(r) if x]
-    q_terms = [(i, x) for i, x in enumerate(qs) if x and i]
-    f = [n[0] ** k]
-    # (m+1) Q_0 f_{m+1} = sum_i R_i f_{m-i} - sum_{i>=1} Q_i (m+1-i) f_{m+1-i}
+    scale = math.lcm(*(x.denominator for x in r + qs))
+    r_hat = [int(x * scale) for x in r]
+    q_hat = [int(x * scale) for x in qs]
+    q0 = q_hat[0]
+    # (i, R^_i Q^_0^i) and (i, Q^_i Q^_0^{i-1}): the m-free factors of each sum
+    r_terms = [(i, x * q0**i) for i, x in enumerate(r_hat) if x]
+    q_terms = [(i, x * q0 ** (i - 1)) for i, x in enumerate(q_hat) if x and i]
+    g = [1]
     for m in range(target):
-        acc = sum(ri * f[m - i] for i, ri in r_terms if i <= m)
-        acc -= sum(qi * (m + 1 - i) * f[m + 1 - i] for i, qi in q_terms if i <= m + 1)
-        f.append(acc / ((m + 1) * qs[0]))
-    return f[target] * v_factor(params.n1, params.n2)
+        acc = sum(ri * math.perm(m, i) * g[m - i] for i, ri in r_terms if i <= m)
+        acc -= sum(qi * math.perm(m, i) * g[m + 1 - i] for i, qi in q_terms if i <= m)
+        g.append(acc)
+    f0 = n[0] ** k
+    vf = v_factor(params.n1, params.n2)
+    num = f0.numerator * vf.numerator * g[target]
+    den = f0.denominator * vf.denominator * math.factorial(target) * q0**target
+    return Fraction(num, den)
 
 
 def joint_pmf(params: GraphClassParams) -> dict:

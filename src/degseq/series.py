@@ -7,12 +7,16 @@ Conventions used throughout the package:
 * weight vectors have length q and are indexed by component size, so slot
   ``j - 1`` holds the weight u_j on components of size j; u_1 (slot 0) is only
   meaningful for multigraphs and stays unused for simple graphs;
-* all coefficients are ``fractions.Fraction`` — nothing ever passes through
-  floating point.
+* all coefficients are exact rationals and nothing ever passes through
+  floating point: the recurrences run on Python ``int`` numerators over a
+  known common scale (Miller's b_m is b_0 u^shift g_m / (m! D^m) with g_m
+  integer), and each output term becomes one ``fractions.Fraction`` at the
+  end, so the recurrences reduce no gcd per product or sum.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from operator import add, sub
 
@@ -88,8 +92,11 @@ class MPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def coefficient_sum(self) -> Fraction:
-        """Value of the polynomial with every variable set to 1."""
-        return sum(self.terms.values(), Fraction(0))
+        """Value of the polynomial with every variable set to 1, summed over
+        the common denominator: one Fraction, not one per term."""
+        coeffs = self.terms.values()
+        den = math.lcm(*(c.denominator for c in coeffs))
+        return Fraction(sum(c.numerator * (den // c.denominator) for c in coeffs), den)
 
     def evaluate(self, values):
         """Evaluate at a length-nvars point; exact for Fraction inputs, float
@@ -152,11 +159,7 @@ class MPoly:
         if isinstance(other, MPoly):
             self._check_compatible(other)
             out = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
-                    acc = out.get(key)
-                    out[key] = c1 * c2 if acc is None else acc + c1 * c2
+            _mul_into(out, self.terms, other.terms)
             return MPoly(self.nvars, out)
         scalar = as_fraction(other)
         if not scalar:
@@ -278,24 +281,24 @@ class TruncatedSeries:
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
         O(order^2) products for any exponent.  The constant coefficient must
         be a single nonzero term."""
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a natural number")
-        if len(self.coeffs[0].terms) != 1:
-            raise ValueError("the constant coefficient must be a single nonzero term")
-        ((lead, c0),) = self.coeffs[0].terms.items()
-        b0 = MPoly(self.nvars, {tuple(e * exponent for e in lead): c0**exponent})
-        k1 = exponent + 1
-        coeffs = _miller(self.coeffs, self.order, b0, lead, c0, lambda j, m: k1 * j - m)
-        return TruncatedSeries(self.order, self.nvars, coeffs)
+        scale, b0, shift, g = _power_numerators(self, exponent)
+        return self._from_numerators(g, scale, b0, shift)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term: (exp a)' = a' exp a gives
         m b_m = sum_j j a_j b_{m-j}."""
-        if not self.coeffs[0].is_zero():
-            raise ValueError("exp requires a zero constant term")
-        nvars = self.nvars
-        coeffs = _miller(self.coeffs, self.order, MPoly.one(nvars), (0,) * nvars, 1, lambda j, m: j)
-        return TruncatedSeries(self.order, nvars, coeffs)
+        scale, g = _exp_numerators(self)
+        return self._from_numerators(g, scale, Fraction(1), (0,) * self.nvars)
+
+    def _from_numerators(self, g, scale, b0, shift):
+        """The series b_m = b0 * u^shift * g_m / (m! * scale^m): one Fraction
+        per term."""
+        coeffs = []
+        c = b0
+        for m, gm in enumerate(g):
+            coeffs.append(MPoly(self.nvars, gm) * MPoly(self.nvars, {shift: c}))
+            c /= (m + 1) * scale
+        return TruncatedSeries(self.order, self.nvars, coeffs)
 
     def __repr__(self):
         return "TruncatedSeries(order=%d, nvars=%d, [%s])" % (
@@ -305,25 +308,99 @@ class TruncatedSeries:
         )
 
 
-def _miller(a, order, b0, lead, c0, weight):
-    """b_0..b_order of m*a_0*b_m = sum_{j=1..m} weight(j, m)*a_j*b_{m-j}, where
-    a_0 = c0*u^lead is one monomial: the term products of each m go into one
-    dict, and dividing by a_0 is a coefficient division and an exponent shift."""
-    out = [b0]
+def _numerators(coeffs):
+    """(D, A) with A_j = D * coeffs_j integer-valued and D the lcm of every
+    denominator; coeffs are dicts {exps: Fraction}."""
+    scale = math.lcm(*(c.denominator for a in coeffs for c in a.values()))
+    return scale, [{e: int(c * scale) for e, c in a.items()} for a in coeffs]
+
+
+def _mul_into(acc, a, b, factor=1):
+    """acc += factor * a * b for term dicts {exps: coeff}, int or Fraction."""
+    get = acc.get
+    for e1, c1 in a.items():
+        if factor != 1:
+            c1 *= factor
+        for e2, c2 in b.items():
+            key = tuple(map(add, e1, e2))
+            prev = get(key)
+            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+
+
+def _miller(a, scale, order, weight, shift):
+    """g_0..g_order of the fraction-free Miller recurrence
+
+        g_0 = 1,  g_m = sum_{j=1..m} weight(j, m) (m-1)!/(m-j)! D^{j-1} A_j g_{m-j},
+
+    where the integer dicts A_j = a[j] encode alpha_j = A_j / D (D = scale)
+    and the solution of m beta_m = sum_j weight(j, m) alpha_j beta_{m-j},
+    beta_0 = 1, is beta_m = g_m / (m! D^m).  Exponents may be negative
+    (alpha_j = a_j / a_0 shifts by the lead monomial), but u^shift * g_m must
+    be a polynomial: a term left with a negative exponent means a_0 did not
+    divide the sum, and raises ValueError."""
+    g = [{(0,) * len(shift): 1}]
     for m in range(1, order + 1):
         acc = {}
+        falling = 1  # (m-1)!/(m-j)! * D^{j-1}
         for j in range(1, m + 1):
-            w = weight(j, m)
-            for e1, c1 in a[j].terms.items():
-                c1 = c1 * w
-                for e2, c2 in out[m - j].terms.items():
-                    key = tuple(map(add, e1, e2))
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        scale = Fraction(1, m) / c0
-        terms = {tuple(map(sub, e, lead)): c * scale for e, c in acc.items() if c}
-        assert all(min(e, default=0) >= 0 for e in terms), "a_0 does not divide the sum"
-        out.append(MPoly(b0.nvars, terms))
-    return out
+            w = weight(j, m) * falling
+            if w and a[j]:
+                _mul_into(acc, a[j], g[m - j], w)
+            falling *= (m - j) * scale
+        gm = {e: c for e, c in acc.items() if c}
+        for e in gm:
+            if min(map(add, e, shift), default=0) < 0:
+                raise ValueError("a_0 does not divide the sum at z^%d" % m)
+        g.append(gm)
+    return g
+
+
+def _exp_numerators(series: TruncatedSeries):
+    """(D, g) with [z^m] exp(series) = g_m / (m! D^m): Miller's recurrence on
+    alpha_j = j a_j with weight 1, D the lcm of their denominators."""
+    if not series.coeffs[0].is_zero():
+        raise ValueError("exp requires a zero constant term")
+    alpha = [{e: j * c for e, c in a.terms.items()} for j, a in enumerate(series.coeffs)]
+    scale, ints = _numerators(alpha)
+    return scale, _miller(ints, scale, series.order, lambda j, m: 1, (0,) * series.nvars)
+
+
+def _power_numerators(series: TruncatedSeries, exponent: int):
+    """(D, b0, shift, g) with [z^m] series**exponent = b0 u^shift g_m / (m! D^m),
+    where a_0 = c0 u^lead, b0 = c0^exponent, shift = exponent * lead: Miller's
+    recurrence on alpha_j = a_j / a_0 with weight (exponent + 1) j - m."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a natural number")
+    if len(series.coeffs[0].terms) != 1:
+        raise ValueError("the constant coefficient must be a single nonzero term")
+    ((lead, c0),) = series.coeffs[0].terms.items()
+    alpha = [
+        {tuple(map(sub, e, lead)): c / c0 for e, c in a.terms.items()} for a in series.coeffs
+    ]
+    scale, ints = _numerators(alpha)
+    shift = tuple(e * exponent for e in lead)
+    k1 = exponent + 1
+    g = _miller(ints, scale, series.order, lambda j, m: k1 * j - m, shift)
+    return scale, c0**exponent, shift, g
+
+
+def product_coefficient(cyc: TruncatedSeries, path: TruncatedSeries, k: int, scale) -> MPoly:
+    """scale * [z^n] exp(cyc) * path**k, n the common order, without forming
+    either series.  Miller's recurrence gives [z^i] exp(cyc) = gE_i / (i! D_E^i)
+    and [z^j] path**k = b0 u^shift gP_j / (j! D_P^j), so the coefficient is
+
+        b0 u^shift sum_i C(n, i) D_E^{n-i} D_P^i gE_i gP_{n-i} / (n! (D_E D_P)^n):
+
+    O(n) integer polynomial products, then one Fraction per output term."""
+    cyc._check_compatible(path)
+    n = cyc.order
+    de, ge = _exp_numerators(cyc)
+    dp, b0, shift, gp = _power_numerators(path, k)
+    acc = {}
+    for i in range(n + 1):
+        _mul_into(acc, ge[i], gp[n - i], math.comb(n, i) * de ** (n - i) * dp**i)
+    c = b0 * as_fraction(scale) / (math.factorial(n) * (de * dp) ** n)
+    return MPoly(cyc.nvars, acc) * MPoly(cyc.nvars, {shift: c})
 
 
 def build_path_series(q: int, order: int) -> TruncatedSeries:

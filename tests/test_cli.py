@@ -49,6 +49,18 @@ def test_exact_output_matches_pinned_digest(tmp_path, capsys):
     )
 
 
+def test_exact_multigraph_output_matches_pinned_digest(tmp_path, capsys):
+    # multigraph masses carry 2^-n2 denominators; the digest was computed on
+    # the all-Fraction census kernel before it moved to integer numerators
+    out = tmp_path / "census.json"
+    args = ["exact", "--n1", "8", "--n2", "8", "--q", "6", "--model", "multigraph"]
+    code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "647f13f63dd80f9b6dde33e4088028763aa706d29dee0e2a028aa9d185d9afb8"
+    )
+
+
 def test_exact_odd_n1_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "3", "--n2", "1"], capsys)
     assert code == 2
@@ -154,6 +166,23 @@ def test_sample_empty_simple_class_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "empty class" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact", "--n1", "2", "--n2", "0"],
+        ["sample", "--n1", "4", "--n2", "2", "--N", "5", "--workers", "1"],
+    ],
+    ids=["exact", "sample"],
+)
+def test_unwritable_out_exits_2(tmp_path, capsys, args):
+    # exit 1 means a failed check, so an I/O error is a usage error (2)
+    out = tmp_path / "no" / "such" / "x.json"
+    code, _, err = run_cli(args + ["--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_sample_env_seed_fallback(tmp_path, capsys, monkeypatch):

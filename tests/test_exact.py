@@ -21,7 +21,7 @@ from degseq.exact import (
     pmf_moments,
     v_factor,
 )
-from degseq.series import MPoly
+from degseq.series import MPoly, build_cycle_series, build_path_series
 
 F = Fraction
 
@@ -184,6 +184,18 @@ def test_graph_gf_value_pinned_digests(n1, n2, q, model, u, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_graph_gf_value_pinned_digest_at_n1_2000():
+    # SHA-256 of "num/den" in hex (the decimal numerator exceeds Python's
+    # 4300-digit string limit), computed on the all-Fraction recurrence
+    # before it moved to integer numerators
+    p = GraphClassParams(2000, 1000, q=4, model="multigraph")
+    value = graph_gf_value(p, TILTED)
+    text = "%x/%x" % (value.numerator, value.denominator)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8b5d6d286ed6c99636df548f206d1da069785484e716aa8a03e97fd61dde2c9e"
+    )
+
+
 weight_st = st.fractions(min_value=-3, max_value=4, max_denominator=3)
 
 
@@ -210,6 +222,23 @@ def test_graph_gf_value_matches_multivariate_census(instance):
     p, u = instance
     expected = graph_gf(p).evaluate([1] * p.q if u is None else u)
     assert graph_gf_value(p, u) == expected
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 12),
+    st.integers(2, 6),
+    st.sampled_from(("simple", "multigraph")),
+)
+@settings(max_examples=60, deadline=None)
+def test_graph_gf_matches_series_api(half_n1, n2, q, model):
+    # checks graph_gf's z^{n2} convolution of the integer numerators and its
+    # final scaling against the full series product; both sides share
+    # series._miller, which test_pow_matches_repeated_product and
+    # test_exp_log_round_trip check independently
+    p = GraphClassParams(2 * half_n1, n2, q=q, model=model)
+    series = build_cycle_series(q, n2, model).exp() * build_path_series(q, n2) ** half_n1
+    assert graph_gf(p).poly == series.coefficient(n2) * v_factor(p.n1, n2)
 
 
 def test_graph_gf_value_rejects_bad_weights():

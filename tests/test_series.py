@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degseq.series import MPoly, TruncatedSeries, build_cycle_series, build_path_series
+from degseq.series import (
+    MPoly,
+    TruncatedSeries,
+    _miller,
+    build_cycle_series,
+    build_path_series,
+    product_coefficient,
+)
 
 F = Fraction
 
@@ -115,6 +122,15 @@ def test_pow_rejects_lowest_coefficient_with_several_terms():
     a = TruncatedSeries(3, 2, [lead, MPoly.one(2), MPoly.zero(2), MPoly.zero(2)])
     with pytest.raises(ValueError):
         a**2
+
+
+def test_miller_rejects_a_term_left_with_a_negative_exponent():
+    # a_0 must divide every b_m; the check is a ValueError, so python -O
+    # keeps it
+    a = [{}, {(-1, 0): 1}]
+    with pytest.raises(ValueError, match="does not divide"):
+        _miller(a, 1, 1, lambda j, m: 1, (0, 0))
+    assert _miller(a, 1, 1, lambda j, m: 1, (1, 0)) == [{(0, 0): 1}, {(-1, 0): 1}]
 
 
 def test_build_path_patterns():
@@ -236,6 +252,22 @@ def test_pow_matches_repeated_product(a, k):
             a**k
     else:
         assert a**k == repeated_product(a, k)
+
+
+@given(small_series_st, monomial_st, small_series_st, st.integers(0, 4), fractions_st)
+@settings(max_examples=40, deadline=None)
+def test_product_coefficient_matches_series_product(cyc, lead, path, k, scale):
+    # the reference forms both series through the Fraction wrappers and
+    # multiplies them in full; the power is the repeated product
+    cyc = series_from([MPoly.zero(2)] + cyc.coeffs[1:])
+    path = series_from([lead] + path.coeffs[1:])
+    expected = (cyc.exp() * repeated_product(path, k)).coefficient(cyc.order) * scale
+    assert product_coefficient(cyc, path, k, scale) == expected
+
+
+@given(mpoly_st)
+def test_coefficient_sum_is_the_fraction_sum(poly):
+    assert poly.coefficient_sum() == sum(poly.terms.values(), F(0))
 
 
 @given(small_series_st, small_series_st)
