@@ -8,6 +8,10 @@ Three cross-validating pipelines:
   the closed-form Gaussian/Poisson limit law;
 * sampler/stats — configuration-model Monte Carlo with moment and
   goodness-of-fit verdicts.
+
+Importing the package loads numpy but no scipy module: each scipy piece is
+imported inside the one function that uses it, so the exact census and the
+limit law start without scipy (tests/test_import_policy.py).
 """
 
 from .errors import (

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, DomainError
 from .series import check_model
@@ -32,6 +31,11 @@ def _as_weights(u, q=None):
     if not np.all(w > 0):
         raise DomainError("weights must be positive")
     return w
+
+
+def _check_alpha(alpha: float) -> None:
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
 
 
 def ones_weights(q: int) -> np.ndarray:
@@ -92,8 +96,9 @@ def solve_zeta(alpha: float, u) -> float:
     tolerance, 4 ulp): a residual bound cannot be met where the slope
     ~alpha(1+alpha)/zeta makes one ulp of zeta move the residual past it.
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+    from scipy.optimize import brentq
+
+    _check_alpha(alpha)
     u = _as_weights(u)
     check_path_positive(u)
     w = u.tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
@@ -221,32 +226,45 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
         return float(np.mean(integrand).real)
 
 
-def gradient_chi(alpha: float, q: int) -> np.ndarray:
-    """Per-path mean coefficients alpha^{j-2}/(1+alpha)^{j-1}, j = 2..q."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
+def _ratios(alpha: float, q: int):
+    """r = alpha/(1+alpha) and s = 1/(1+alpha), both in [0, 1], so powers of
+    them neither overflow nor turn into inf/inf for any finite alpha > 0."""
+    _check_alpha(alpha)
     if q < 2:
         raise ValueError("q must be >= 2")
-    j = np.arange(2, q + 1, dtype=float)
-    return alpha ** (j - 2) / (1.0 + alpha) ** (j - 1)
+    return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
+
+
+def gradient_chi(alpha: float, q: int) -> np.ndarray:
+    """Per-path mean coefficients c_j = alpha^{j-2}/(1+alpha)^{j-1}
+    = r^{j-2} s, j = 2..q."""
+    r, s = _ratios(alpha, q)
+    return r ** np.arange(q - 1, dtype=float) * s
 
 
 def hessian_H(alpha: float, q: int) -> np.ndarray:
     """Closed-form limiting covariance of the standardized counts of
-    components of sizes 2..q."""
-    if alpha <= 0:
-        raise DomainError("alpha must be positive")
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    idx = np.arange(2, q + 1, dtype=float)
-    i = idx[:, None]
-    j = idx[None, :]
-    a = alpha
-    h = -(a ** (i + j - 4) / (1.0 + a) ** (i + j - 2)) * (
-        1.0 + (i - 2.0 - a) * (j - 2.0 - a) / (a * (1.0 + a))
+    components of sizes 2..q: with a = i-2, b = j-2,
+
+        H_ij = [i = j] c_i - c_i c_j (1 + (a - alpha)(b - alpha)/(alpha(1+alpha))),
+
+    written in r and s, where (a - alpha)(b - alpha)/(alpha(1+alpha))
+    = (a s - r)(b s - r)/r and 1 = r + s:
+
+        H_ij = [i = j] r^a s - s^2 (r^{a+b} (2r + (1-a-b) s) + ab s^2 r^{a+b-1}).
+
+    No power of r is negative, so every entry is finite.  H_22 cancels to
+    s r^2 = alpha^2/(1+alpha)^3, which is set directly."""
+    r, s = _ratios(alpha, q)
+    k = np.arange(q - 1, dtype=float)
+    a = k[:, None]
+    b = k[None, :]
+    h = -s * s * (
+        r ** (a + b) * (2.0 * r + (1.0 - a - b) * s)
+        + a * b * s * s * r ** np.maximum(a + b - 1.0, 0.0)
     )
-    diag = (a / (1.0 + a)) ** (idx - 2) / (1.0 + a)
-    h[np.arange(q - 1), np.arange(q - 1)] += diag
+    h[np.arange(q - 1), np.arange(q - 1)] += r**k * s
+    h[0, 0] = s * r * r
     return h
 
 

@@ -35,8 +35,8 @@ from . import verify as verify_mod
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

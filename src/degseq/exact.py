@@ -54,8 +54,8 @@ class GraphClassParams:
     @classmethod
     def from_alpha(cls, alpha: float, n1: int, q: int = 2, model: str = "simple"):
         """Build the instance with n2 = floor(alpha * n1 / 2)."""
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < alpha < math.inf:
+            raise ValueError("alpha must be positive and finite")
         return cls(n1=n1, n2=int(math.floor(alpha * n1 / 2)), q=q, model=model)
 
     @property

@@ -7,14 +7,11 @@ tallies a block of pairings per numpy call.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import SamplingError, StructuralError
 from .exact import GraphClassParams, census_exponents, class_is_empty
@@ -176,6 +173,9 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     labelled in one connected_components call.  Raises StructuralError if a
     row does not realize the degree profile (degree 1 on the first n1
     vertices, 2 elsewhere)."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if q < 2:
         raise ValueError("q must be >= 2")
     n = n1 + n2
@@ -289,6 +289,8 @@ def run_experiment(
     if workers == 1:
         parts = list(map(_sample_chunk, [params] * n_chunks, seeds, sizes))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes))
     return ExperimentResult(

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degseq.asymptotics import (
     FD_STEP,
@@ -246,6 +248,66 @@ def test_hessian_matches_finite_difference(alpha):
     q = 5
     fd = central_hessian(lambda t: chi_value(t, alpha, q), np.zeros(q - 1))
     assert np.abs(fd - hessian_H(alpha, q)).max() <= 1e-5
+
+
+def exact_limit_law(alpha: float, q: int):
+    """The mean coefficients and covariance at the float alpha in exact
+    rational arithmetic, from the closed forms as first written:
+    c_j = alpha^{j-2}/(1+alpha)^{j-1} and
+    H_ij = [i = j] c_i - c_i c_j (1 + (i-2-alpha)(j-2-alpha)/(alpha(1+alpha)))."""
+    a = Fraction(alpha)
+    c = [a ** (j - 2) / (1 + a) ** (j - 1) for j in range(2, q + 1)]
+    h = [
+        [
+            (c[i - 2] if i == j else 0)
+            - c[i - 2] * c[j - 2] * (1 + (i - 2 - a) * (j - 2 - a) / (a * (1 + a)))
+            for j in range(2, q + 1)
+        ]
+        for i in range(2, q + 1)
+    ]
+    return c, h
+
+
+@given(st.floats(-3.0, 3.0), st.integers(2, 8))
+@settings(max_examples=150, deadline=None)
+def test_limit_law_matches_exact_closed_form(log10_alpha, q):
+    alpha = 10.0**log10_alpha
+    c, h = exact_limit_law(alpha, q)
+    scale = max(abs(x) for row in h for x in row)
+    got = hessian_H(alpha, q)
+    assert all(
+        abs(Fraction(float(got[i, j])) - h[i][j]) <= Fraction(1e-12) * scale
+        for i in range(q - 1)
+        for j in range(q - 1)
+    )
+    assert all(
+        abs(Fraction(float(x)) - e) <= Fraction(1e-14) * e for x, e in zip(gradient_chi(alpha, q), c)
+    )
+
+
+@given(st.floats(-300.0, 300.0), st.integers(2, 8), st.sampled_from(("simple", "multigraph")))
+@settings(max_examples=150, deadline=None)
+def test_limit_law_finite_for_every_alpha(log10_alpha, q, model):
+    alpha = 10.0**log10_alpha
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        law = limit_law(alpha, q, model)
+    assert np.isfinite(law.mean_coeffs).all()
+    assert np.isfinite(law.hessian).all()
+    assert np.array_equal(law.hessian, law.hessian.T)
+    assert ((law.mean_coeffs >= 0) & (law.mean_coeffs <= 1)).all()
+
+
+@pytest.mark.parametrize("alpha", (float("inf"), float("nan"), 0.0, -1.0))
+@pytest.mark.parametrize("fn", (gradient_chi, hessian_H, limit_law))
+def test_limit_law_rejects_non_finite_or_non_positive_alpha(fn, alpha):
+    with pytest.raises(DomainError):
+        fn(alpha, 4)
+
+
+@pytest.mark.parametrize("alpha", (float("inf"), float("nan")))
+def test_solve_zeta_rejects_non_finite_alpha(alpha):
+    with pytest.raises(DomainError):
+        solve_zeta(alpha, ones_weights(3))
 
 
 def test_hessian_symmetric_and_psd():

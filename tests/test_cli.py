@@ -116,6 +116,39 @@ def test_limit_law_bad_alpha_usage_error(capsys):
     assert code == 2
 
 
+NON_FINITE = ("inf", "nan", "Infinity", "1e400")
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_limit_law_rejects_non_finite_alpha(capsys, value):
+    code, out, err = run_cli(["limit-law", "--alpha", value, "--q", "4"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be positive and finite" in err
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_sample_rejects_non_finite_alpha(tmp_path, capsys, value):
+    out = tmp_path / "s.csv"
+    code, _, err = run_cli(
+        ["sample", "--n1", "4", "--alpha", value, "--N", "3", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "must be positive and finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ("--alpha", "--u1"))
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_asymptote_rejects_non_finite_alpha_and_u1(capsys, flag, value):
+    args = ["asymptote", "--n1", "20", "--q", "3"]
+    args += [flag, value] if flag == "--alpha" else ["--n2", "10", flag, value]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert out == ""
+    assert "must be positive and finite" in err
+
+
 def test_sample_writes_csv_and_sidecar(tmp_path, capsys):
     out = tmp_path / "s.csv"
     args = [

@@ -334,6 +334,12 @@ def test_params_validation():
         GraphClassParams.from_alpha(0.0, 10)
 
 
+@pytest.mark.parametrize("alpha", (float("inf"), float("nan"), -float("inf")))
+def test_params_from_alpha_rejects_non_finite(alpha):
+    with pytest.raises(ValueError):
+        GraphClassParams.from_alpha(alpha, 10)
+
+
 def test_params_from_alpha_floors():
     p = GraphClassParams.from_alpha(1.0, 10, q=3)
     assert p.n2 == 5

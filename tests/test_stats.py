@@ -124,6 +124,32 @@ def test_chi_square_gof_point_mass_passes():
     assert verdict.passed
 
 
+# chi-square statistics as multiples of dof: 0, 1e-300, the bulk around the
+# mean (dof) and the upper tail; the test adds 1e5
+CHI2_STAT_GRID = (0.0, 1e-300, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 10.0)
+
+
+def test_chi_square_gof_p_value_is_scipy_chi2_sf():
+    from scipy.special import chdtrc
+    from scipy.stats import chi2
+
+    for dof in range(1, 61):
+        cells = dof + 1
+        probs = {k: Fraction(1, cells) for k in range(cells)}
+        n = cells * 100_000
+        for stat in [f * dof for f in CHI2_STAT_GRID] + [1e5]:
+            # the identity chi_square_gof relies on, also where its cells
+            # cannot produce the statistic (stat below ulp(expected)^2)
+            assert chdtrc(dof, stat) == chi2.sf(stat, dof)
+            shift = math.sqrt(stat * 100_000 / 2.0)
+            observed = {k: 100_000.0 for k in range(cells)}
+            observed[0] += shift
+            observed[1] -= shift
+            details = chi_square_gof(observed, probs, n).details
+            assert details["cells"] == cells
+            assert details["p_value"] == float(chi2.sf(details["chi2_stat"], dof))
+
+
 def test_psd_check():
     assert psd_check(np.eye(3)).passed
     assert not psd_check(np.diag([1.0, -1.0])).passed
