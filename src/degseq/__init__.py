@@ -33,7 +33,6 @@ from .exact import (
     graph_gf,
     graph_gf_value,
     joint_pmf,
-    pmf_moments,
     v_factor,
 )
 from .asymptotics import (

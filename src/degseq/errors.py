@@ -22,4 +22,5 @@ class StructuralError(DegseqError):
 
 
 class SamplingError(DegseqError):
-    """Rejection sampling exhausted its attempt budget."""
+    """Rejection sampling cannot succeed: the class is empty, so the error is
+    raised before any pairing is drawn."""

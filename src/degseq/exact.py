@@ -26,6 +26,10 @@ from .series import (
 from .unionfind import UnionFind
 
 SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
+# graph_gf bound on n1 + n2.  Its time grows about as n2^3 and steeply in q:
+# on a 2-vCPU host q = 2 takes 6.6 s at (n1, n2) = (4, 800) and 23 s at
+# (400, 400), and q = 4 already takes 6.5 s at (4, 200).
+EXACT_SIZE_LIMIT = 800
 MATCHING_ENUM_LIMIT = 6  # brute_force_multigraph bound on edge count m
 
 
@@ -69,10 +73,6 @@ class GraphClassParams:
     def n_vertices(self) -> int:
         return self.n1 + self.n2
 
-    @property
-    def n_edges(self) -> int:
-        return self.n1 // 2 + self.n2
-
 
 @dataclass(frozen=True)
 class CensusPolynomial:
@@ -90,9 +90,6 @@ class CensusPolynomial:
     @property
     def q(self) -> int:
         return self.poly.nvars
-
-    def evaluate(self, u_values) -> Fraction:
-        return self.poly.evaluate([as_fraction(v) for v in u_values])
 
     def pmf(self) -> dict:
         """Joint law of the census vector, keyed by sorted exponent tuple;
@@ -116,8 +113,11 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
     convolved on integer numerators by ``series.product_coefficient``.
 
     Odd n1 yields the zero polynomial (the class is empty: every path uses two
-    degree-1 endpoints).
+    degree-1 endpoints).  Raises ValueError, before any series is built,
+    when n1 + n2 exceeds EXACT_SIZE_LIMIT.
     """
+    if params.n1 + params.n2 > EXACT_SIZE_LIMIT:
+        raise ValueError("graph_gf bound n1+n2 <= %d exceeded" % EXACT_SIZE_LIMIT)
     q, n2 = params.q, params.n2
     if params.n1 % 2:
         return CensusPolynomial(MPoly.zero(q), Fraction(0))
@@ -200,20 +200,6 @@ def joint_pmf(params: GraphClassParams) -> dict:
             "no graphs with n1=%d, n2=%d in %s model" % (params.n1, params.n2, params.model)
         )
     return gf.pmf()
-
-
-def pmf_moments(pmf: dict):
-    """Exact mean and variance vectors (index j-1 for size j) of a census PMF."""
-    q = len(next(iter(pmf)))
-    means = [Fraction(0)] * q
-    seconds = [Fraction(0)] * q
-    for exps, prob in pmf.items():
-        for i, m in enumerate(exps):
-            if m:
-                means[i] += prob * m
-                seconds[i] += prob * m * m
-    variances = [s - mu * mu for s, mu in zip(seconds, means)]
-    return means, variances
 
 
 def class_is_empty(n1: int, n2: int, model: str) -> bool:

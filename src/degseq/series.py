@@ -1,6 +1,8 @@
 """Exact arithmetic kernel: truncated power series in z whose coefficients are
 multivariate polynomials in the component-marking weights u_1..u_q over the
-rationals.
+rationals.  The package builds the cycle and path series and extracts one
+coefficient of exp(Cyc) * Path^k (``product_coefficient``); the series
+operations ``*``, ``**`` and ``exp`` are the references it is checked against.
 
 Conventions used throughout the package:
 
@@ -88,9 +90,6 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def coefficient_sum(self) -> Fraction:
         """Value of the polynomial with every variable set to 1, summed over
         the common denominator: one Fraction, not one per term."""
@@ -116,44 +115,10 @@ class MPoly:
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))
 
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __neg__(self):
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = out
-        return result
-
-    def __sub__(self, other):
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, MPoly):
@@ -169,64 +134,34 @@ class MPoly:
         result.terms = {e: c * scalar for e, c in self.terms.items()}
         return result
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, coeff in sorted(self.terms.items()):
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append("u%d" % (i + 1))
-                elif e > 1:
-                    factors.append("u%d^%d" % (i + 1, e))
-            if coeff != 1 or not factors:
-                factors.insert(0, str(coeff))
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return "MPoly(%d, %r)" % (self.nvars, dict(sorted(self.terms.items())))
 
 
 class TruncatedSeries:
     """Power series in z truncated at a fixed order; coefficient of z^k lives
     at ``coeffs[k]`` as an :class:`MPoly`.
 
-    Arithmetic never reads or writes beyond the truncation order, and mixed
-    operands must share both the order and the variable count.
+    The package reads only ``coeffs``, ``order`` and ``nvars``; the
+    operations (``*``, ``**``, ``exp``) never read or write beyond the
+    truncation order, and mixed operands must share both the order and the
+    variable count.
     """
 
     __slots__ = ("order", "nvars", "coeffs")
 
-    def __init__(self, order: int, nvars: int, coeffs=None):
+    def __init__(self, order: int, nvars: int, coeffs):
         if order < 0:
             raise ValueError("order must be >= 0")
+        coeffs = list(coeffs)
+        if len(coeffs) != order + 1:
+            raise ValueError("need %d coefficients, got %d" % (order + 1, len(coeffs)))
+        for c in coeffs:
+            if c.nvars != nvars:
+                raise ValueError("coefficient variable count mismatch")
         self.order = order
         self.nvars = nvars
-        if coeffs is None:
-            self.coeffs = [MPoly.zero(nvars) for _ in range(order + 1)]
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != order + 1:
-                raise ValueError("need %d coefficients, got %d" % (order + 1, len(coeffs)))
-            for c in coeffs:
-                if c.nvars != nvars:
-                    raise ValueError("coefficient variable count mismatch")
-            self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, order: int, nvars: int) -> "TruncatedSeries":
-        return cls(order, nvars)
-
-    @classmethod
-    def one(cls, order: int, nvars: int) -> "TruncatedSeries":
-        s = cls(order, nvars)
-        s.coeffs[0] = MPoly.one(nvars)
-        return s
-
-    def coefficient(self, k: int) -> MPoly:
-        return self.coeffs[k]
+        self.coeffs = coeffs
 
     def _check_compatible(self, other: "TruncatedSeries"):
         if self.order != other.order:
@@ -243,39 +178,16 @@ class TruncatedSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __neg__(self):
-        return TruncatedSeries(self.order, self.nvars, [-c for c in self.coeffs])
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.order, self.nvars, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_compatible(other)
-        return TruncatedSeries(
-            self.order, self.nvars, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
         order = self.order
-        out = [MPoly.zero(self.nvars) for _ in range(order + 1)]
+        out = [{} for _ in range(order + 1)]
         for i, ci in enumerate(self.coeffs):
-            if ci.is_zero():
-                continue
             for j in range(order - i + 1):
-                cj = other.coeffs[j]
-                if not cj.is_zero():
-                    out[i + j] = out[i + j] + ci * cj
-        return TruncatedSeries(order, self.nvars, out)
+                _mul_into(out[i + j], ci.terms, other.coeffs[j].terms)
+        return TruncatedSeries(order, self.nvars, [MPoly(self.nvars, t) for t in out])
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
@@ -301,11 +213,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.order, self.nvars, coeffs)
 
     def __repr__(self):
-        return "TruncatedSeries(order=%d, nvars=%d, [%s])" % (
-            self.order,
-            self.nvars,
-            ", ".join(repr(c) for c in self.coeffs),
-        )
+        return "TruncatedSeries(%d, %d, %r)" % (self.order, self.nvars, self.coeffs)
 
 
 def _numerators(coeffs):

@@ -1,0 +1,33 @@
+"""Reference computations used only by the tests."""
+
+from fractions import Fraction
+
+from degseq.series import MPoly, TruncatedSeries, _mul_into
+
+
+def series_log(a):
+    """log of a series with constant term 1, by the inverse recurrence of
+    exp: m c_m = m a_m - sum_{k<m} k c_k a_{m-k}."""
+    if a.coeffs[0] != MPoly.one(a.nvars):
+        raise ValueError("log requires constant term 1")
+    out = [{}]
+    for m in range(1, a.order + 1):
+        acc = dict(a.coeffs[m].terms)
+        for k in range(1, m):
+            _mul_into(acc, out[k], a.coeffs[m - k].terms, Fraction(-k, m))
+        out.append(acc)
+    return TruncatedSeries(a.order, a.nvars, [MPoly(a.nvars, t) for t in out])
+
+
+def pmf_moments(pmf: dict):
+    """Exact mean and variance vectors (index j-1 for size j) of a census PMF."""
+    q = len(next(iter(pmf)))
+    means = [Fraction(0)] * q
+    seconds = [Fraction(0)] * q
+    for exps, prob in pmf.items():
+        for i, m in enumerate(exps):
+            if m:
+                means[i] += prob * m
+                seconds[i] += prob * m * m
+    variances = [s - mu * mu for s, mu in zip(seconds, means)]
+    return means, variances

@@ -448,7 +448,7 @@ def test_cycle_value_matches_series_expansion():
     for model in ("simple", "multigraph"):
         series = build_cycle_series(3, 30, model)
         truncated = sum(
-            float(series.coefficient(k).evaluate(u)) * z**k for k in range(31)
+            float(series.coeffs[k].evaluate(u)) * z**k for k in range(31)
         )
         closed = cycle_value(z, np.array([1.0, 1.1, 0.9]), model)
         assert closed == pytest.approx(truncated, abs=1e-15)

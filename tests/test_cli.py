@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import warnings
 
 import pytest
@@ -71,6 +72,14 @@ def test_exact_empty_class_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "0", "--n2", "2"], capsys)
     assert code == 2
     assert "empty class" in err
+
+
+def test_exact_beyond_size_bound_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(["exact", "--n1", "4", "--n2", "100000000000000000000", "--q", "3"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "bound" in err
 
 
 def test_exact_multigraph_masses(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from degseq.errors import EmptyClassError
 from degseq.exact import (
+    EXACT_SIZE_LIMIT,
     GraphClassParams,
     brute_force_multigraph,
     brute_force_simple,
@@ -18,10 +19,10 @@ from degseq.exact import (
     graph_gf,
     graph_gf_value,
     joint_pmf,
-    pmf_moments,
     v_factor,
 )
 from degseq.series import MPoly, build_cycle_series, build_path_series
+from oracles import pmf_moments
 
 F = Fraction
 
@@ -146,14 +147,14 @@ def test_labelled_path_counts(k):
 def test_graph_gf_value_matches_poly_evaluation():
     p = GraphClassParams(4, 3, q=4)
     u = [F(1), F(11, 10), F(9, 10), F(2)]
-    assert graph_gf_value(p, u) == graph_gf(p).evaluate(u)
+    assert graph_gf_value(p, u) == graph_gf(p).poly.evaluate(u)
 
 
 def test_graph_gf_value_with_zero_u2_matches_poly_evaluation():
     # u_2 = 0 makes N = (1-z) Path start at z^1, so the recurrence cannot
     # divide by N_0 and runs on N / z instead
     p = GraphClassParams(6, 4, q=3)
-    assert graph_gf_value(p, [1, 0, 1]) == graph_gf(p).evaluate([1, 0, 1])
+    assert graph_gf_value(p, [1, 0, 1]) == graph_gf(p).poly.evaluate([1, 0, 1])
 
 
 TILTED = (1, F(11, 10), F(9, 10), F(21, 20))
@@ -220,7 +221,7 @@ def test_graph_gf_value_matches_multivariate_census(instance):
     # the multivariate census runs exp and the path power on Miller's
     # recurrence, so it is an independent reference for the D-finite one
     p, u = instance
-    expected = graph_gf(p).evaluate([1] * p.q if u is None else u)
+    expected = graph_gf(p).poly.evaluate([1] * p.q if u is None else u)
     assert graph_gf_value(p, u) == expected
 
 
@@ -238,7 +239,7 @@ def test_graph_gf_matches_series_api(half_n1, n2, q, model):
     # test_exp_log_round_trip check independently
     p = GraphClassParams(2 * half_n1, n2, q=q, model=model)
     series = build_cycle_series(q, n2, model).exp() * build_path_series(q, n2) ** half_n1
-    assert graph_gf(p).poly == series.coefficient(n2) * v_factor(p.n1, n2)
+    assert graph_gf(p).poly == series.coeffs[n2] * v_factor(p.n1, n2)
 
 
 def test_graph_gf_value_rejects_bad_weights():
@@ -321,6 +322,12 @@ def test_census_json_rejects_bad_total():
     blob["total"]["num"] += 1
     with pytest.raises(ValueError):
         census_from_json(blob)
+
+
+@pytest.mark.parametrize("n1, n2", [(4, EXACT_SIZE_LIMIT - 3), (10**20, 0), (3, 10**20)])
+def test_graph_gf_rejects_instances_beyond_size_bound(n1, n2):
+    with pytest.raises(ValueError, match="bound"):
+        graph_gf(GraphClassParams(n1, n2, q=3))
 
 
 def test_params_validation():
