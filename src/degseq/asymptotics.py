@@ -18,8 +18,8 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .series import check_model
 
-POSITIVITY_GRID = 512
 FD_STEP = 1e-5
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finite
 
 
 def _as_weights(u, q=None):
@@ -28,8 +28,8 @@ def _as_weights(u, q=None):
         raise ValueError("weight vector must be 1-d with length >= 2")
     if q is not None and w.size != q:
         raise ValueError("expected %d weights, got %d" % (q, w.size))
-    if not np.all(w > 0):
-        raise DomainError("weights must be positive")
+    if not np.all((w > 0) & (w < math.inf)):
+        raise DomainError("weights must be positive and finite")
     return w
 
 
@@ -72,13 +72,9 @@ def cycle_value(z, u, model: str = "simple"):
 
 
 def check_path_positive(u):
-    """Guard for the valid weight domain: the path series must stay positive
-    on (0,1), probed on a dense grid."""
-    u = _as_weights(u)
-    zs = np.linspace(0.0, 1.0, POSITIVITY_GRID + 2)[1:-1]
-    values = path_value(zs, u)
-    if not np.all(values > 0):
-        raise DomainError("path series vanishes on (0,1) for these weights")
+    """DomainError unless every weight is positive and finite: then so is each
+    z^i coefficient of the path series (u_{i+2} or 1), hence Path on (0,1)."""
+    _as_weights(u)
 
 
 def z_log_deriv_path(z: float, u) -> float:
@@ -99,9 +95,7 @@ def solve_zeta(alpha: float, u) -> float:
     from scipy.optimize import brentq
 
     _check_alpha(alpha)
-    u = _as_weights(u)
-    check_path_positive(u)
-    w = u.tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
+    w = _as_weights(u).tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
     lo, hi = 1e-13, 1.0 - 1e-13
     if not (z_log_deriv_path(lo, w) < alpha < z_log_deriv_path(hi, w)):
         raise DomainError("saddle bracket has no sign change; weights out of range")
@@ -120,17 +114,20 @@ def phi_second(zeta: float, u) -> float:
     g1 = path_value(zeta, u, 1) / p
     g2 = path_value(zeta, u, 2) / p - g1 * g1
     value = zeta * g1 + zeta * zeta * g2
-    if value <= 0:
-        raise DomainError("phase curvature is not positive; weights out of range")
+    if not 0 < value < math.inf:
+        raise DomainError("phase curvature is not positive and finite; weights out of range")
     return value
 
 
 def a_zero(zeta: float, u, model: str = "simple") -> float:
-    """Cycle-set factor exp(Cycle(zeta, u)) at the contour center."""
+    """Cycle-set factor exp(Cycle(zeta, u)) at the contour center.  Raises
+    DomainError when it overflows a float."""
     if not 0 < zeta < 1:
         raise DomainError("zeta must lie in (0,1)")
-    u = _as_weights(u)
-    return math.exp(cycle_value(float(zeta), u, model))
+    log_a0 = cycle_value(float(zeta), _as_weights(u), model)
+    if not log_a0 <= LOG_FLOAT_MAX:
+        raise DomainError("cycle factor exp(Cycle(zeta)) overflows; weights out of range")
+    return math.exp(log_a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +139,6 @@ class SaddleData:
     a0: float
     path_at_zeta: float
     u: np.ndarray
-
-    def __post_init__(self):
-        if not 0 < self.zeta < 1:
-            raise DomainError("zeta must lie in (0,1)")
-        if self.phi2 <= 0 or self.a0 <= 0:
-            raise DomainError("phase curvature and cycle factor must be positive")
 
 
 def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
@@ -203,7 +194,8 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     converges spectrally; multiplying by the relabelling prefactor recovers
     the full census generating-function value.  The default point count is
     the smallest power of two >= max(1024, 32 / (1 - zeta)), as the integrand
-    sharpens when zeta nears 1.  An overflow gives NaN, without warnings.
+    sharpens when zeta nears 1.  An overflow of the path power gives NaN,
+    without warnings; a cycle factor that overflows raises DomainError.
     """
     if params.n1 % 2:
         raise DomainError("n1 must be even")
@@ -211,8 +203,7 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     u = ones_weights(q) if u is None else _as_weights(u, q)
     if zeta is None:
         zeta = 0.5 if params.n1 == 0 else solve_zeta(params.alpha, u)
-    if not 0 < zeta < 1:
-        raise DomainError("zeta must lie in (0,1)")
+    a_zero(zeta, u, params.model)  # |exp(Cycle)| peaks at w = zeta; raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))
     if points < 64:

@@ -21,11 +21,10 @@ from .asymptotics import (
     limit_law,
     saddle_data,
 )
-from .errors import DegseqError
+from .errors import DegseqError, EmptyClassError
 from .exact import (
     GraphClassParams,
     census_to_json,
-    class_is_empty,
     graph_gf,
 )
 from .sampler import run_experiment, sidecar_metadata, write_samples_csv
@@ -33,31 +32,10 @@ from .series import MODELS
 from . import verify as verify_mod
 
 
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
-
-
-def _even_int(text: str) -> int:
-    value = int(text)
-    if value < 0 or value % 2:
-        raise argparse.ArgumentTypeError("must be a nonnegative even integer")
-    return value
-
-
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _q_int(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("q must be >= 2")
     return value
 
 
@@ -103,24 +81,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="exact census polynomial and PMF")
-    p_exact.add_argument("--n1", type=_nonneg_int, required=True)
-    p_exact.add_argument("--n2", type=_nonneg_int, required=True)
-    p_exact.add_argument("--q", type=_q_int, default=2)
+    p_exact.add_argument("--n1", type=int, required=True)
+    p_exact.add_argument("--n2", type=int, required=True)
+    p_exact.add_argument("--q", type=int, default=2)
     p_exact.add_argument("--model", choices=MODELS, default="simple")
     p_exact.add_argument("--out", help="output JSON path (default stdout)")
 
     p_law = sub.add_parser("limit-law", help="Gaussian/Poisson limit parameters")
-    p_law.add_argument("--alpha", type=_positive_float, required=True)
-    p_law.add_argument("--q", type=_q_int, default=2)
+    p_law.add_argument("--alpha", type=float, required=True)
+    p_law.add_argument("--q", type=int, default=2)
     p_law.add_argument("--model", choices=MODELS, default="simple")
     p_law.add_argument("--out", help="output JSON path (default stdout)")
 
     p_sample = sub.add_parser("sample", help="Monte Carlo censuses to CSV")
-    p_sample.add_argument("--n1", type=_even_int, required=True)
+    p_sample.add_argument("--n1", type=int, required=True)
     group = p_sample.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n2", type=_nonneg_int)
-    group.add_argument("--alpha", type=_positive_float)
-    p_sample.add_argument("--q", type=_q_int, default=2)
+    group.add_argument("--n2", type=int)
+    group.add_argument("--alpha", type=float)
+    p_sample.add_argument("--q", type=int, default=2)
     p_sample.add_argument("--model", choices=MODELS, default="simple")
     p_sample.add_argument("--N", type=int, default=1000, dest="n_reps")
     p_sample.add_argument("--seed", type=_nonneg_int, default=None)
@@ -130,14 +108,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", required=True, help="CSV path; a .meta.json sidecar is written next to it")
 
     p_asym = sub.add_parser("asymptote", help="saddle data and Laplace estimate")
-    p_asym.add_argument("--n1", type=_even_int, required=True)
+    p_asym.add_argument("--n1", type=int, required=True)
     group = p_asym.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n2", type=_nonneg_int)
-    group.add_argument("--alpha", type=_positive_float)
-    p_asym.add_argument("--q", type=_q_int, default=2)
+    group.add_argument("--n2", type=int)
+    group.add_argument("--alpha", type=float)
+    p_asym.add_argument("--q", type=int, default=2)
     p_asym.add_argument("--model", choices=MODELS, default="simple")
     p_asym.add_argument("--u", help="comma-separated weights u_2..u_q (default all 1)")
-    p_asym.add_argument("--u1", type=_positive_float, default=1.0, help="loop weight (multigraph)")
+    p_asym.add_argument("--u1", type=float, default=1.0, help="loop weight (multigraph)")
     p_asym.add_argument("--points", type=int, help="contour quadrature points (default: from zeta)")
     p_asym.add_argument("--out", help="output JSON path (default stdout)")
 
@@ -150,14 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    if args.n1 % 2:
-        print("empty class: n1 odd", file=sys.stderr)
-        return 2
     params = GraphClassParams(args.n1, args.n2, q=args.q, model=args.model)
     gf = graph_gf(params)
     if gf.is_empty:
-        print("empty class: no graphs with n1=%d, n2=%d" % (args.n1, args.n2), file=sys.stderr)
-        return 2
+        raise EmptyClassError("empty class: no graphs with n1=%d, n2=%d" % (args.n1, args.n2))
     pmf = gf.pmf()
     payload = {
         "params": {"n1": args.n1, "n2": args.n2, "q": args.q, "model": args.model},
@@ -179,15 +153,6 @@ def _cmd_limit_law(args) -> int:
 
 def _cmd_sample(args) -> int:
     params = _params(args)
-    if class_is_empty(params.n1, params.n2, params.model):
-        print(
-            "empty class: no graphs with n1=%d, n2=%d (%s)" % (params.n1, params.n2, params.model),
-            file=sys.stderr,
-        )
-        return 2
-    if args.n_reps < 1:
-        print("N must be >= 1", file=sys.stderr)
-        return 2
     seed = args.seed if args.seed is not None else _default_seed()
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
     result = run_experiment(params, args.n_reps, seed=seed, workers=workers)
@@ -203,8 +168,7 @@ def _cmd_asymptote(args) -> int:
     if args.u:
         tail = [float(x) for x in args.u.split(",")]
         if len(tail) > args.q - 1:
-            print("--u lists at most q-1 weights (sizes 2..q)", file=sys.stderr)
-            return 2
+            raise DegseqError("--u lists at most q-1 weights (sizes 2..q)")
         u[1 : 1 + len(tail)] = tail
     sd = saddle_data(params.alpha, u, args.model)
     payload = {

@@ -30,6 +30,9 @@ SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # on a 2-vCPU host q = 2 takes 6.6 s at (n1, n2) = (4, 800) and 23 s at
 # (400, 400), and q = 4 already takes 6.5 s at (4, 200).
 EXACT_SIZE_LIMIT = 800
+# graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
+# host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).
+VALUE_SIZE_LIMIT = 30000
 MATCHING_ENUM_LIMIT = 6  # brute_force_multigraph bound on edge count m
 
 
@@ -148,8 +151,11 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     their denominators), f_m = f_0 g_m / (m! Q^_0^m) where
     g_{m+1} = sum_i R^_i m!/(m-i)! Q^_0^i g_{m-i}
               - sum_{1<=i<=m} Q^_i m!/(m-i)! Q^_0^{i-1} g_{m+1-i},
-    and only the coefficient read out becomes a Fraction.
+    and only the coefficient read out becomes a Fraction.  Raises ValueError,
+    before any work, when n1 + n2 exceeds VALUE_SIZE_LIMIT.
     """
+    if params.n1 + params.n2 > VALUE_SIZE_LIMIT:
+        raise ValueError("graph_gf_value bound n1+n2 <= %d exceeded" % VALUE_SIZE_LIMIT)
     if params.n1 % 2:
         return Fraction(0)
     q, k = params.q, params.n1 // 2

@@ -276,11 +276,9 @@ def run_experiment(
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if params.n1 % 2:
-        raise ValueError("n1 must be even")
-    if class_is_empty(params.n1, params.n2, params.model):
+    if class_is_empty(params.n1, params.n2, params.model):  # odd n1 included
         raise SamplingError(
-            "no %s graph has n1=%d, n2=%d" % (params.model, params.n1, params.n2)
+            "empty class: no %s graph has n1=%d, n2=%d" % (params.model, params.n1, params.n2)
         )
     n_chunks = -(-n_reps // CHUNK_REPS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)

@@ -120,6 +120,40 @@ def test_path_positivity_guard():
         solve_zeta(1.0, [1.0, -2.0])
 
 
+MULTI_20_10 = GraphClassParams(20, 10, q=3, model="multigraph")
+WEIGHT_CALLS = {
+    "solve_zeta": lambda u: solve_zeta(1.0, u),
+    "saddle_data": lambda u: saddle_data(1.0, u, "multigraph"),
+    "phi_second": lambda u: phi_second(0.5, u),
+    "a_zero": lambda u: a_zero(0.5, u, "multigraph"),
+    "asymptotic_log_gf": lambda u: asymptotic_log_gf(MULTI_20_10, u),
+    "contour_extract": lambda u: contour_extract(MULTI_20_10, u),
+}
+
+
+@pytest.mark.parametrize("slot", (0, 1, 2))
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+@pytest.mark.parametrize("fn", WEIGHT_CALLS)
+def test_non_finite_weight_in_any_slot_raises(fn, bad, slot):
+    u = [1.0, 1.1, 0.9]
+    u[slot] = bad
+    with pytest.raises(DomainError, match="positive and finite"):
+        WEIGHT_CALLS[fn](u)
+
+
+@pytest.mark.parametrize("fn", ("a_zero", "saddle_data", "asymptotic_log_gf", "contour_extract"))
+def test_overflowing_cycle_factor_raises(fn):
+    # exp(Cycle) overflows a float at a multigraph loop weight of 1e308
+    with pytest.raises(DomainError, match="overflows"):
+        WEIGHT_CALLS[fn]([1e308, 1.0, 1.0])
+
+
+def test_phi_second_rejects_overflowing_curvature():
+    # Path''(0.5) = 16 + 2 (u_4 - 1) overflows a float at u_4 = 1e308
+    with pytest.raises(DomainError, match="finite"):
+        phi_second(0.5, [1.0, 1.0, 1.0, 1e308])
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_phi_second_unit_weights(alpha):
     zeta = solve_zeta(alpha, ones_weights(3))

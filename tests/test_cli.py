@@ -65,7 +65,7 @@ def test_exact_multigraph_output_matches_pinned_digest(tmp_path, capsys):
 def test_exact_odd_n1_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "3", "--n2", "1"], capsys)
     assert code == 2
-    assert "empty class: n1 odd" in err
+    assert "empty class" in err
 
 
 def test_exact_empty_class_exits_2(capsys):
@@ -156,6 +156,59 @@ def test_asymptote_rejects_non_finite_alpha_and_u1(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert "must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--model", "multigraph", "--u1", "1e308"],
+        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,inf"],
+    ],
+    ids=["overflowing-u1", "infinite-u"],
+)
+def test_asymptote_bad_weights_exit_2_without_traceback(capsys, args):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+# Inputs the library rejects with no CLI-side check of its own: each exits 2
+# with one error line from main().
+LIBRARY_REJECTED = {
+    "exact-odd-n1": ["exact", "--n1", "3", "--n2", "1"],
+    "exact-negative-n1": ["exact", "--n1", "-2", "--n2", "1"],
+    "exact-q1": ["exact", "--n1", "2", "--n2", "1", "--q", "1"],
+    "limit-law-q1": ["limit-law", "--alpha", "1", "--q", "1"],
+    "limit-law-alpha-0": ["limit-law", "--alpha", "0"],
+    "limit-law-alpha-neg": ["limit-law", "--alpha", "-1"],
+    "sample-odd-n1": ["sample", "--n1", "3", "--n2", "1", "--N", "5"],
+    "sample-negative-n1": ["sample", "--n1", "-2", "--n2", "1", "--N", "5"],
+    "sample-alpha-0": ["sample", "--n1", "4", "--alpha", "0", "--N", "5"],
+    "sample-N0": ["sample", "--n1", "4", "--n2", "2", "--N", "0"],
+    "sample-empty-class": ["sample", "--n1", "0", "--n2", "1", "--N", "5"],
+    "sample-q1": ["sample", "--n1", "4", "--n2", "2", "--q", "1", "--N", "5"],
+    "asymptote-odd-n1": ["asymptote", "--n1", "3", "--n2", "1"],
+    "asymptote-n1-0": ["asymptote", "--n1", "0", "--n2", "1"],
+    "asymptote-q1": ["asymptote", "--n1", "4", "--n2", "2", "--q", "1"],
+    "asymptote-alpha-neg": ["asymptote", "--n1", "4", "--alpha", "-1"],
+}
+
+
+@pytest.mark.parametrize("args", LIBRARY_REJECTED.values(), ids=LIBRARY_REJECTED)
+def test_library_rejection_exits_2(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    if args[0] == "sample":
+        args = args + ["--workers", "1", "--out", str(out)]
+    code, stdout, err = run_cli(args, capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_non_integer_n1_is_a_usage_error(capsys):
+    code, _, err = run_cli(["sample", "--n1", "2.5", "--n2", "1", "--out", "x.csv"], capsys)
+    assert code == 2
+    assert "error: argument --n1: invalid int value" in err
 
 
 def test_sample_writes_csv_and_sidecar(tmp_path, capsys):
@@ -327,6 +380,31 @@ def test_verify_tampered_hessian_fails(capsys, monkeypatch):
     code, out, _ = run_cli(["verify", "--only", "4"], capsys)
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_structural_check_fails_on_forged_graph(tmp_path, capsys, monkeypatch):
+    # one sampled graph gets a loop in place of an edge: same edge count, but
+    # two vertices off their degree, which both labellers reject
+    from degseq import verify
+    from degseq.sampler import StubMultigraph
+
+    real = verify.sample_simple
+    forged = []
+
+    def sample_simple(n1, n2, rng):
+        g = real(n1, n2, rng)
+        if forged:
+            return g
+        (a, _), *rest = g.edges
+        forged.append(StubMultigraph(n1, n2, ((a, a), *rest)))
+        return forged[0]
+
+    monkeypatch.setattr(verify, "sample_simple", sample_simple)
+    report = tmp_path / "report.json"
+    code, out, err = run_cli(["verify", "--only", "10", "--json", str(report)], capsys)
+    assert code == 1 and "FAIL" in out and err == ""
+    (entry,) = json.loads(report.read_text())
+    assert entry["passed"] is False and entry["details"]["violations"] >= 1
 
 
 def test_verify_json_report(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from degseq.errors import EmptyClassError
 from degseq.exact import (
     EXACT_SIZE_LIMIT,
+    VALUE_SIZE_LIMIT,
     GraphClassParams,
     brute_force_multigraph,
     brute_force_simple,
@@ -328,6 +330,14 @@ def test_census_json_rejects_bad_total():
 def test_graph_gf_rejects_instances_beyond_size_bound(n1, n2):
     with pytest.raises(ValueError, match="bound"):
         graph_gf(GraphClassParams(n1, n2, q=3))
+
+
+@pytest.mark.parametrize("n1, n2", [(4, 10**20), (10**20, 0), (2, VALUE_SIZE_LIMIT - 1)])
+def test_graph_gf_value_rejects_instances_beyond_size_bound(n1, n2):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="bound"):
+        graph_gf_value(GraphClassParams(n1, n2, q=3))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_params_validation():
