@@ -300,12 +300,13 @@ class LimitLaw:
 
 def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:
     check_model(model)
+    mean_coeffs = gradient_chi(alpha, q)  # raises for a bad alpha or q before lam uses alpha
     lam = alpha / (2.0 * (1.0 + alpha)) if model == "multigraph" else None
     return LimitLaw(
         alpha=float(alpha),
         q=q,
         model=model,
-        mean_coeffs=gradient_chi(alpha, q),
+        mean_coeffs=mean_coeffs,
         hessian=hessian_H(alpha, q),
         poisson_lambda=lam,
     )

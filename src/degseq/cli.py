@@ -21,7 +21,7 @@ from .asymptotics import (
     limit_law,
     saddle_data,
 )
-from .errors import DegseqError, EmptyClassError
+from .errors import DegseqError
 from .exact import (
     GraphClassParams,
     census_to_json,
@@ -130,9 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_exact(args) -> int:
     params = GraphClassParams(args.n1, args.n2, q=args.q, model=args.model)
     gf = graph_gf(params)
-    if gf.is_empty:
-        raise EmptyClassError("empty class: no graphs with n1=%d, n2=%d" % (args.n1, args.n2))
-    pmf = gf.pmf()
+    pmf = gf.pmf()  # EmptyClassError for an empty class
     payload = {
         "params": {"n1": args.n1, "n2": args.n2, "q": args.q, "model": args.model},
         **census_to_json(gf),
@@ -167,9 +165,8 @@ def _cmd_asymptote(args) -> int:
     u[0] = args.u1
     if args.u:
         tail = [float(x) for x in args.u.split(",")]
-        if len(tail) > args.q - 1:
-            raise DegseqError("--u lists at most q-1 weights (sizes 2..q)")
         u[1 : 1 + len(tail)] = tail
+    log_gf = asymptotic_log_gf(params, u)  # first, as it checks that u holds q weights
     sd = saddle_data(params.alpha, u, args.model)
     payload = {
         "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
@@ -178,7 +175,7 @@ def _cmd_asymptote(args) -> int:
         "phi_second": sd.phi2,
         "a_zero": sd.a0,
         "path_at_zeta": sd.path_at_zeta,
-        "log_gf_estimate": asymptotic_log_gf(params, u),
+        "log_gf_estimate": log_gf,
         "coefficient_estimate": contour_extract(params, u, points=args.points),
     }
     _write_json(payload, args.out)

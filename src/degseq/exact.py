@@ -63,7 +63,11 @@ class GraphClassParams:
         """Build the instance with n2 = floor(alpha * n1 / 2)."""
         if not 0 < alpha < math.inf:
             raise ValueError("alpha must be positive and finite")
-        return cls(n1=n1, n2=int(math.floor(alpha * n1 / 2)), q=q, model=model)
+        try:
+            n2 = math.floor(alpha * n1 / 2)
+        except OverflowError as exc:
+            raise ValueError("alpha * n1 / 2 overflows a float") from exc
+        return cls(n1=n1, n2=n2, q=q, model=model)
 
     @property
     def alpha(self) -> float:
@@ -98,7 +102,7 @@ class CensusPolynomial:
         """Joint law of the census vector, keyed by sorted exponent tuple;
         values sum to 1.  Raises EmptyClassError for the zero polynomial."""
         if self.is_empty:
-            raise EmptyClassError("the census polynomial is zero: the class is empty")
+            raise EmptyClassError("empty class: the census polynomial is zero")
         return {exps: coeff / self.total for exps, coeff in sorted(self.poly.terms.items())}
 
 
@@ -200,12 +204,7 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
 def joint_pmf(params: GraphClassParams) -> dict:
     """Exact joint law of the census vector (m_1..m_q) under the uniform
     (simple) or pairing-mass (multigraph) distribution; values sum to 1."""
-    gf = graph_gf(params)
-    if gf.is_empty:
-        raise EmptyClassError(
-            "no graphs with n1=%d, n2=%d in %s model" % (params.n1, params.n2, params.model)
-        )
-    return gf.pmf()
+    return graph_gf(params).pmf()
 
 
 def class_is_empty(n1: int, n2: int, model: str) -> bool:

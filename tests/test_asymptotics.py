@@ -332,7 +332,15 @@ def test_limit_law_finite_for_every_alpha(log10_alpha, q, model):
 
 
 @pytest.mark.parametrize("alpha", (float("inf"), float("nan"), 0.0, -1.0))
-@pytest.mark.parametrize("fn", (gradient_chi, hessian_H, limit_law))
+@pytest.mark.parametrize(
+    "fn",
+    (
+        gradient_chi,
+        hessian_H,
+        limit_law,
+        pytest.param(lambda alpha, q: limit_law(alpha, q, model="multigraph"), id="limit_law-multigraph"),
+    ),
+)
 def test_limit_law_rejects_non_finite_or_non_positive_alpha(fn, alpha):
     with pytest.raises(DomainError):
         fn(alpha, 4)

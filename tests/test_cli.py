@@ -181,9 +181,11 @@ LIBRARY_REJECTED = {
     "limit-law-q1": ["limit-law", "--alpha", "1", "--q", "1"],
     "limit-law-alpha-0": ["limit-law", "--alpha", "0"],
     "limit-law-alpha-neg": ["limit-law", "--alpha", "-1"],
+    "limit-law-alpha-neg-multigraph": ["limit-law", "--alpha", "-1", "--model", "multigraph"],
     "sample-odd-n1": ["sample", "--n1", "3", "--n2", "1", "--N", "5"],
     "sample-negative-n1": ["sample", "--n1", "-2", "--n2", "1", "--N", "5"],
     "sample-alpha-0": ["sample", "--n1", "4", "--alpha", "0", "--N", "5"],
+    "sample-alpha-overflows-n2": ["sample", "--n1", "4", "--alpha", "1e308", "--N", "5"],
     "sample-N0": ["sample", "--n1", "4", "--n2", "2", "--N", "0"],
     "sample-empty-class": ["sample", "--n1", "0", "--n2", "1", "--N", "5"],
     "sample-q1": ["sample", "--n1", "4", "--n2", "2", "--q", "1", "--N", "5"],
@@ -191,6 +193,7 @@ LIBRARY_REJECTED = {
     "asymptote-n1-0": ["asymptote", "--n1", "0", "--n2", "1"],
     "asymptote-q1": ["asymptote", "--n1", "4", "--n2", "2", "--q", "1"],
     "asymptote-alpha-neg": ["asymptote", "--n1", "4", "--alpha", "-1"],
+    "asymptote-alpha-overflows-n2": ["asymptote", "--n1", "4", "--alpha", "1e308"],
 }
 
 
@@ -363,10 +366,12 @@ def test_asymptote_overflow_reports_one_error_line_without_warnings(capsys):
 
 
 def test_asymptote_rejects_too_many_weights(capsys):
-    code, _, err = run_cli(
+    # the library's weight-count check, reached before any output
+    code, out, err = run_cli(
         ["asymptote", "--n1", "10", "--alpha", "1", "--q", "2", "--u", "1.1,0.9"], capsys
     )
-    assert code == 2
+    assert code == 2 and out == ""
+    assert err == "error: expected 2 weights, got 3\n"
 
 
 def test_verify_only_single_check(capsys):

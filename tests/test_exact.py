@@ -357,6 +357,12 @@ def test_params_from_alpha_rejects_non_finite(alpha):
         GraphClassParams.from_alpha(alpha, 10)
 
 
+@pytest.mark.parametrize("alpha, n1", ((1e308, 4), (1.0, 10**400)))
+def test_params_from_alpha_rejects_overflowing_n2(alpha, n1):
+    with pytest.raises(ValueError, match="overflows"):
+        GraphClassParams.from_alpha(alpha, n1)
+
+
 def test_params_from_alpha_floors():
     p = GraphClassParams.from_alpha(1.0, 10, q=3)
     assert p.n2 == 5
