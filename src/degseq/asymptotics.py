@@ -167,14 +167,21 @@ def asymptotic_log_gf(params, u=None) -> float:
     Saddle is centered with the instance's effective ratio 2 n2/n1, which
     kills the linear phase exactly even when n2 came from flooring.
     """
+    u = _laplace_weights(params, u)
+    return _laplace_log_gf(params, saddle_data(params.alpha, u, params.model))
+
+
+def _laplace_weights(params, u):
+    """The Laplace estimate's checks: even n1 >= 2 and q weights (default 1)."""
     if params.n1 % 2:
         raise DomainError("n1 must be even")
     if params.n1 < 2:
         raise DomainError("the Laplace estimate needs n1 >= 2")
-    q = params.q
-    u = ones_weights(q) if u is None else _as_weights(u, q)
-    alpha = params.alpha
-    sd = saddle_data(alpha, u, params.model)
+    return ones_weights(params.q) if u is None else _as_weights(u, params.q)
+
+
+def _laplace_log_gf(params, sd: SaddleData) -> float:
+    """asymptotic_log_gf from the SaddleData at alpha = params.alpha."""
     k = params.n1 // 2
     return (
         log_v_factor(params.n1, params.n2)

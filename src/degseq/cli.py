@@ -15,21 +15,9 @@ import math
 import os
 import sys
 
-from .asymptotics import (
-    asymptotic_log_gf,
-    contour_extract,
-    limit_law,
-    saddle_data,
-)
 from .errors import DegseqError
-from .exact import (
-    GraphClassParams,
-    census_to_json,
-    graph_gf,
-)
-from .sampler import run_experiment, sidecar_metadata, write_samples_csv
+from .exact import GraphClassParams, census_json_text, census_to_json, graph_gf
 from .series import MODELS
-from . import verify as verify_mod
 
 
 def _nonneg_int(text: str) -> int:
@@ -55,7 +43,10 @@ def _write_json(obj, path):
     bad = [k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise DegseqError("non-finite result field(s): %s" % ", ".join(bad))
-    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    _write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+
+
+def _write_text(text, path):
     if path:
         with open(path, "w") as fh:
             fh.write(text)
@@ -139,17 +130,21 @@ def _cmd_exact(args) -> int:
             for k, p in pmf.items()
         ],
     }
-    _write_json(payload, args.out)
+    _write_text(census_json_text(payload), args.out)
     return 0
 
 
 def _cmd_limit_law(args) -> int:
+    from .asymptotics import limit_law
+
     law = limit_law(args.alpha, args.q, args.model)
     _write_json(law.to_json(), args.out)
     return 0
 
 
 def _cmd_sample(args) -> int:
+    from .sampler import run_experiment, sidecar_metadata, write_samples_csv
+
     params = _params(args)
     seed = args.seed if args.seed is not None else _default_seed()
     workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
@@ -160,14 +155,16 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_asymptote(args) -> int:
+    from .asymptotics import _laplace_log_gf, _laplace_weights, contour_extract, saddle_data
+
     params = _params(args)
     u = [1.0] * args.q
     u[0] = args.u1
     if args.u:
         tail = [float(x) for x in args.u.split(",")]
         u[1 : 1 + len(tail)] = tail
-    log_gf = asymptotic_log_gf(params, u)  # first, as it checks that u holds q weights
-    sd = saddle_data(params.alpha, u, args.model)
+    weights = _laplace_weights(params, u)  # its checks come before params.alpha's
+    sd = saddle_data(params.alpha, weights, args.model)
     payload = {
         "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
         "u": u,
@@ -175,14 +172,16 @@ def _cmd_asymptote(args) -> int:
         "phi_second": sd.phi2,
         "a_zero": sd.a0,
         "path_at_zeta": sd.path_at_zeta,
-        "log_gf_estimate": log_gf,
-        "coefficient_estimate": contour_extract(params, u, points=args.points),
+        "log_gf_estimate": _laplace_log_gf(params, sd),
+        "coefficient_estimate": contour_extract(params, u, zeta=sd.zeta, points=args.points),
     }
     _write_json(payload, args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify as verify_mod
+
     if args.only:
         numbers = [int(x) for x in args.only.split(",")]
     elif args.quick:

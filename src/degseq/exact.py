@@ -9,6 +9,7 @@ polynomials from scratch and serve as independent oracles.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -360,6 +361,27 @@ def census_to_json(census: CensusPolynomial) -> dict:
         "total": {"num": census.total.numerator, "den": census.total.denominator},
         "polynomial": terms,
     }
+
+
+# One {exponents|counts, num, den} term as json.dumps(indent=2) lays it out in a top-level list.
+_TERM = '    {\n      "%s": [\n        %s\n      ],\n      "num": %s,\n      "den": %s\n    }'
+
+
+def census_json_text(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` for the
+    ``degseq exact`` payload (params, q, total, polynomial, pmf) at a fraction of
+    the cost: the indented encoder is pure Python, so term lists use a template."""
+    parts = []
+    for key, value in payload.items():
+        if key in ("polynomial", "pmf"):
+            name = "exponents" if key == "polynomial" else "counts"
+            terms = (_TERM % (name, ",\n        ".join(map(str, t[name])), t["num"], t["den"])
+                     for t in value)
+            body = "[\n%s\n  ]" % ",\n".join(terms) if value else "[]"
+        else:
+            body = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
+        parts.append("  %s: %s" % (json.dumps(key), body))
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def census_from_json(obj: dict) -> CensusPolynomial:

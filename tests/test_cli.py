@@ -1,11 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import time
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degseq.cli import main
+from degseq.exact import class_is_empty
 
 
 def run_cli(args, capsys):
@@ -60,6 +66,31 @@ def test_exact_multigraph_output_matches_pinned_digest(tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == (
         "647f13f63dd80f9b6dde33e4088028763aa706d29dee0e2a028aa9d185d9afb8"
     )
+
+
+@given(
+    st.integers(0, 6),
+    st.integers(0, 10),
+    st.integers(2, 6),
+    st.sampled_from(("simple", "multigraph")),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_writer_matches_indented_json(half_n1, n2, q, model):
+    # the template writer against the encoder it replaces, on the payload the
+    # command builds; includes n1 = 0 and q beyond the largest component
+    from degseq import cli
+    from degseq.exact import census_json_text
+
+    args = ["exact", "--n1", str(2 * half_n1), "--n2", str(n2), "--q", str(q), "--model", model]
+    with mock.patch.object(cli, "census_json_text", wraps=census_json_text) as spy:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = main(args)
+    if code == 2:  # an empty class, reported before any output
+        assert class_is_empty(2 * half_n1, n2, model) and not spy.called
+        return
+    assert code == 0
+    payload = spy.call_args.args[0]
+    assert out.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def test_exact_odd_n1_exits_2(capsys):
@@ -344,11 +375,40 @@ def test_asymptote_large_alpha_solves(capsys):
     assert json.loads(out)["zeta"] == pytest.approx(300 / 301, rel=1e-12)
 
 
+def test_asymptote_readme_example_matches_pinned_digest(capsys):
+    # pinned while the command solved the saddle once per output; sharing one
+    # SaddleData between the outputs must not move a byte
+    code, out, _ = run_cli(
+        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"], capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e50ad22e394adb2a7790615c723d9eacd91b85254be368b379a54079fc9b1671"
+    )
+
+
+def test_asymptote_solves_the_saddle_once(capsys, monkeypatch):
+    from degseq import asymptotics
+
+    calls = []
+    original = asymptotics.solve_zeta
+
+    def counted(alpha, u):
+        calls.append(alpha)
+        return original(alpha, u)
+
+    monkeypatch.setattr(asymptotics, "solve_zeta", counted)
+    args = ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"]
+    code, _, _ = run_cli(args + ["--model", "multigraph"], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_asymptote_non_finite_exits_2(capsys, monkeypatch):
     # e.g. the float contour overflowing at large n1: no NaN may reach stdout
-    from degseq import cli
+    from degseq import asymptotics
 
-    monkeypatch.setattr(cli, "contour_extract", lambda *args, **kwargs: float("nan"))
+    monkeypatch.setattr(asymptotics, "contour_extract", lambda *args, **kwargs: float("nan"))
     code, out, err = run_cli(["asymptote", "--n1", "20", "--alpha", "1", "--q", "3"], capsys)
     assert code == 2
     assert out == ""
@@ -363,6 +423,16 @@ def test_asymptote_overflow_reports_one_error_line_without_warnings(capsys):
     assert out == ""
     assert err.splitlines() == ["error: non-finite result field(s): coefficient_estimate"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "n1, message", [("3", "n1 must be even"), ("0", "the Laplace estimate needs n1 >= 2")]
+)
+def test_asymptote_reports_the_laplace_checks_first(capsys, n1, message):
+    # before the saddle solve, and before n1 = 0 leaves alpha undefined
+    code, out, err = run_cli(["asymptote", "--n1", n1, "--n2", "2"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
 
 
 def test_asymptote_rejects_too_many_weights(capsys):

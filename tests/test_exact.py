@@ -16,6 +16,7 @@ from degseq.exact import (
     brute_force_multigraph,
     brute_force_simple,
     census_from_json,
+    census_json_text,
     census_to_json,
     class_is_empty,
     graph_gf,
@@ -316,6 +317,13 @@ def test_census_json_round_trip():
     text = json.dumps(blob)
     restored = census_from_json(json.loads(text))
     assert restored.poly == gf.poly and restored.total == gf.total
+
+
+def test_census_json_text_writes_empty_term_lists_as_json_does():
+    # the odd-n1 zero census: the only payload whose term lists are empty
+    payload = {**census_to_json(graph_gf(GraphClassParams(3, 1, q=2))), "pmf": []}
+    assert payload["polynomial"] == []
+    assert census_json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_census_json_rejects_bad_total():

@@ -1,32 +1,54 @@
-"""Import policy: the exact census and the limit law run without scipy.
-numpy is a module-level import; each scipy piece is imported inside the one
-function that uses it (census_rows, solve_zeta, chi_square_gof)."""
+"""Import policy: ``degseq exact`` runs without numpy or scipy, and the lazy
+``degseq`` namespace still exports every name it did when it imported all
+submodules eagerly.  numpy is loaded by the submodules that use it (asymptotics,
+sampler, stats, verify); each scipy piece is imported inside the one function
+that uses it (census_rows, solve_zeta, chi_square_gof)."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
+import degseq
+
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 PROBE = r"""
 import json, os, sys
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def loaded(top):
+    return sorted(m for m in sys.modules if m == top or m.startswith(top + "."))
 
 import degseq
 import degseq.cli
 
 out = sys.argv[1]
-codes = [
-    degseq.cli.main(["exact", "--n1", "4", "--n2", "4", "--q", "8", "--out", os.path.join(out, "exact.json")]),
-    degseq.cli.main(["limit-law", "--alpha", "1", "--q", "4", "--out", os.path.join(out, "law.json")]),
-]
-before = scipy_modules()
+codes = [degseq.cli.main(["exact", "--n1", "4", "--n2", "4", "--q", "8", "--out", os.path.join(out, "exact.json")])]
+after_exact = loaded("numpy") + loaded("scipy")
+codes.append(degseq.cli.main(["limit-law", "--alpha", "1", "--q", "4", "--out", os.path.join(out, "law.json")]))
+after_law = {"numpy": "numpy" in sys.modules, "scipy": loaded("scipy")}
 degseq.run_experiment(degseq.GraphClassParams(4, 4, q=3), 5, seed=1)
-print(json.dumps({"codes": codes, "before": before, "after": scipy_modules()}))
+print(json.dumps({"codes": codes, "after_exact": after_exact, "after_law": after_law,
+                  "after_sample": loaded("scipy")}))
 """
+
+# The names `import degseq` bound when __init__ imported every submodule.
+EXPORTED = [
+    "CensusPolynomial", "ComponentCensus", "ConvergenceError", "DegseqError", "DomainError",
+    "EmptyClassError", "ExperimentResult", "GraphClassParams", "LimitLaw", "MPoly",
+    "MomentReport", "SaddleData", "SamplingError", "StructuralError", "StubMultigraph",
+    "TruncatedSeries", "Verdict", "asymptotic_log_gf", "asymptotics", "brute_force_multigraph",
+    "brute_force_simple", "build_cycle_series", "build_path_series", "census",
+    "census_from_json", "census_to_json", "chi_square_gof", "class_is_empty",
+    "compensation_factor", "contour_extract", "errors", "exact", "gaussian_check",
+    "gradient_chi", "graph_gf", "graph_gf_value", "hessian_H", "joint_pmf", "limit_law",
+    "moment_report", "phi_second", "poisson_check", "psd_check", "run_experiment",
+    "saddle_data", "sample_multigraph", "sample_simple", "sampler", "series", "solve_zeta",
+    "standardize", "stats", "unionfind", "v_factor", "validate_structure",
+    "write_samples_csv",
+]
 
 
 def test_exact_and_limit_law_load_no_scipy(tmp_path):
@@ -41,6 +63,28 @@ def test_exact_and_limit_law_load_no_scipy(tmp_path):
     )
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0]
-    assert report["before"] == []
-    # positive control: the sampler's labeller does load scipy, and the probe sees it
-    assert "scipy.sparse.csgraph" in report["after"]
+    assert report["after_exact"] == []
+    # positive controls: the limit law loads numpy, the sampler's labeller
+    # loads scipy, and the probe sees both
+    assert report["after_law"] == {"numpy": True, "scipy": []}
+    assert "scipy.sparse.csgraph" in report["after_sample"]
+
+
+def test_namespace_exports_the_eager_names():
+    assert degseq.__all__ == EXPORTED
+    namespace = {}
+    exec("from degseq import *", namespace)
+    assert sorted(k for k in namespace if k != "__builtins__") == EXPORTED
+    for name in EXPORTED:
+        assert getattr(degseq, name) is namespace[name]
+
+
+def test_namespace_resolves_each_access_and_rejects_unknown_names(monkeypatch):
+    from degseq import exact
+
+    assert degseq.graph_gf is exact.graph_gf
+    assert "graph_gf" not in vars(degseq)  # not cached: a later patch is seen
+    monkeypatch.setattr(exact, "graph_gf", len)
+    assert degseq.graph_gf is len
+    with pytest.raises(AttributeError):
+        degseq.no_such_name
