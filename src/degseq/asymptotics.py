@@ -10,6 +10,7 @@ multigraphs.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .series import check_model
 
 FD_STEP = 1e-5
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finite
+MAX_POINTS = 1 << 20  # contour quadrature points; the default reaches it at alpha = 32767
 
 
 def _as_weights(u, q=None):
@@ -57,14 +59,17 @@ def path_value(z, u, k: int = 0):
 def cycle_value(z, u, model: str = "simple"):
     """Cycle-component series at z; loops (size 1) and double edges (size 2)
     appear only in the multigraph model."""
-    check_model(model)
-    q = len(u)
     log = np.log if isinstance(z, np.ndarray) else cmath.log if isinstance(z, complex) else math.log
-    acc = 0.5 * log(1.0 / (1.0 - z))
+    return _cycle_polynomial(z, u, model, 0.5 * log(1.0 / (1.0 - z)))
+
+
+def _cycle_polynomial(z, u, model: str, acc=0.0):
+    """acc plus the cycle series less its log(1/(1-z))/2, in cycle_value's order."""
+    check_model(model)
     first = 1 if model == "multigraph" else 3
     if model == "simple":
         acc = acc - z / 2.0 - z**2 / 4.0
-    for j in range(first, q + 1):
+    for j in range(first, len(u) + 1):
         w = u[j - 1] - 1.0
         if w:
             acc = acc + w * z**j / (2.0 * j)
@@ -109,7 +114,7 @@ def phi_second(zeta: float, u) -> float:
     """Second theta-derivative at 0 of the phase on the contour of radius
     zeta: z g'(z) + z^2 g''(z) with g = log Path; equals alpha(1+alpha) at
     u = 1."""
-    u = _as_weights(u)
+    u = _as_weights(u).tolist()  # Python floats overflow to inf without numpy's warnings
     p = path_value(zeta, u)
     g1 = path_value(zeta, u, 1) / p
     g2 = path_value(zeta, u, 2) / p - g1 * g1
@@ -201,27 +206,52 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     converges spectrally; multiplying by the relabelling prefactor recovers
     the full census generating-function value.  The default point count is
     the smallest power of two >= max(1024, 32 / (1 - zeta)), as the integrand
-    sharpens when zeta nears 1.  An overflow of the path power gives NaN,
-    without warnings; a cycle factor that overflows raises DomainError.
+    sharpens when zeta nears 1; more than MAX_POINTS points raise DomainError,
+    and so does a coefficient or cycle factor that overflows a float.
     """
+    log_coefficient = _contour_log_coefficient(params, u, zeta, points)
+    if not log_coefficient <= LOG_FLOAT_MAX:
+        raise DomainError("contour coefficient exp(%.1f) overflows a float" % log_coefficient)
+    return math.exp(log_coefficient)
+
+
+@functools.lru_cache(maxsize=4)
+def _roots_of_unity(points: int) -> np.ndarray:
+    roots = np.exp(2j * math.pi * np.arange(points) / points)
+    roots.flags.writeable = False  # every caller shares the cached array
+    return roots
+
+
+def _contour_log_coefficient(params, u, zeta, points) -> float:
+    """log of contour_extract's value from the normalised integrand
+    exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
+    <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
     if params.n1 % 2:
         raise DomainError("n1 must be even")
-    q = params.q
-    u = ones_weights(q) if u is None else _as_weights(u, q)
+    u = ones_weights(params.q) if u is None else _as_weights(u, params.q)
     if zeta is None:
         zeta = 0.5 if params.n1 == 0 else solve_zeta(params.alpha, u)
-    a_zero(zeta, u, params.model)  # |exp(Cycle)| peaks at w = zeta; raises on overflow
+    log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))
     if points < 64:
         raise ValueError("need at least 64 quadrature points")
-    theta = 2.0 * math.pi * np.arange(points) / points
-    w = zeta * np.exp(1j * theta)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        integrand = np.exp(cycle_value(w, u, params.model))
-        integrand = integrand * path_value(w, u) ** (params.n1 // 2)
-        integrand = integrand / w**params.n2
-        return float(np.mean(integrand).real)
+    if points > MAX_POINTS:
+        raise DomainError("%d quadrature points exceed the limit of %d" % (points, MAX_POINTS))
+    path_zeta = float(path_value(zeta, u))
+    roots = _roots_of_unity(points)
+    w = zeta * roots[: points // 2 + 1]
+    integrand = np.exp(_cycle_polynomial(w, u, params.model) - log_cycle) / np.sqrt(1.0 - w)
+    integrand *= roots[np.arange(w.size) * (-params.n2 % points) % points]
+    ratio = path_value(w, u) / path_zeta
+    for bit in reversed(bin(params.n1 // 2)[2:]):  # integrand *= ratio**(n1/2) by repeated squaring
+        if bit == "1":
+            integrand *= ratio
+        ratio = ratio * ratio
+    integrand[1 : (points + 1) // 2] *= 2.0  # each also stands in for its mirror image
+    mean = integrand.real.sum() / points
+    log_mean = math.log(mean) if mean > 0.0 else -math.inf  # a zero coefficient, or too few points
+    return log_cycle + params.n1 // 2 * math.log(path_zeta) - params.n2 * math.log(zeta) + log_mean
 
 
 def _ratios(alpha: float, q: int):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from degseq.asymptotics import (
     FD_STEP,
+    _contour_log_coefficient,
     a_zero,
     asymptotic_log_gf,
     central_hessian,
@@ -19,6 +21,7 @@ from degseq.asymptotics import (
     gradient_chi,
     hessian_H,
     limit_law,
+    log_v_factor,
     ones_weights,
     path_value,
     phi_second,
@@ -150,8 +153,11 @@ def test_overflowing_cycle_factor_raises(fn):
 
 def test_phi_second_rejects_overflowing_curvature():
     # Path''(0.5) = 16 + 2 (u_4 - 1) overflows a float at u_4 = 1e308
-    with pytest.raises(DomainError, match="finite"):
-        phi_second(0.5, [1.0, 1.0, 1.0, 1e308])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DomainError, match="finite"):
+            phi_second(0.5, [1.0, 1.0, 1.0, 1e308])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -214,7 +220,8 @@ def test_contour_extract_small_case():
 def test_contour_extract_matches_exact():
     p = GraphClassParams(20, 10, q=3)
     exact = float(graph_gf_value(p) / v_factor(20, 10))
-    assert contour_extract(p, points=1024) == pytest.approx(exact, rel=1e-8)
+    for points in (1024, 1025, 64):  # the half circle holds for odd counts too
+        assert contour_extract(p, points=points) == pytest.approx(exact, rel=1e-8)
     u_exact = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
     exact_u = float(graph_gf_value(p, u_exact) / v_factor(20, 10))
     assert contour_extract(p, u=[1.0, 1.1, 0.9]) == pytest.approx(exact_u, rel=1e-8)
@@ -248,6 +255,34 @@ def test_contour_extract_guards():
         contour_extract(p, points=32)
     with pytest.raises(DomainError):
         contour_extract(GraphClassParams(3, 1, q=3))
+    # refused before any array is built: the default rule asks 2^21 points at
+    # alpha = 40000
+    with pytest.raises(DomainError, match="quadrature points exceed"):
+        contour_extract(GraphClassParams(2, 40000, q=2))
+    with pytest.raises(DomainError, match="quadrature points exceed"):
+        contour_extract(p, points=2**21)
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+@pytest.mark.parametrize("n1", [2000, 4000])
+def test_contour_log_coefficient_matches_exact_at_large_n1(n1, model):
+    # the normalised integrand keeps the log finite where exp of it overflows
+    p = GraphClassParams.from_alpha(1.0, n1, q=3, model=model)
+    exact = graph_gf_value(p, [Fraction(1), Fraction(11, 10), Fraction(9, 10)]) / v_factor(p.n1, p.n2)
+    log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+    assert abs(_contour_log_coefficient(p, [1.0, 1.1, 0.9], None, None) - log_exact) <= 1e-9
+
+
+def test_contour_log_coefficient_approaches_laplace():
+    # the Laplace estimate's relative error is O(1/n1); the contour is exact
+    # to rounding, so the gap between the two logs shrinks as n1 grows
+    u = [1.0, 1.1, 0.9, 1.05]
+    gaps = []
+    for n1 in (1280, 2000, 4000):
+        p = GraphClassParams.from_alpha(0.5, n1, q=4)
+        contour = _contour_log_coefficient(p, u, None, None) + log_v_factor(p.n1, p.n2)
+        gaps.append(abs(contour - asymptotic_log_gf(p, u)))
+    assert gaps[0] > gaps[1] > gaps[2]
 
 
 def test_gradient_closed_form():

