@@ -255,12 +255,12 @@ def test_contour_extract_guards():
         contour_extract(p, points=32)
     with pytest.raises(DomainError):
         contour_extract(GraphClassParams(3, 1, q=3))
-    # refused before any array is built: the default rule asks 2^21 points at
-    # alpha = 40000
+    # refused before any array is built: the default rule asks 2^25 points at
+    # alpha = 600000
     with pytest.raises(DomainError, match="quadrature points exceed"):
-        contour_extract(GraphClassParams(2, 40000, q=2))
+        contour_extract(GraphClassParams(2, 600000, q=2))
     with pytest.raises(DomainError, match="quadrature points exceed"):
-        contour_extract(p, points=2**21)
+        contour_extract(p, points=2**25)
 
 
 @pytest.mark.parametrize("model", ["simple", "multigraph"])
@@ -271,6 +271,9 @@ def test_contour_log_coefficient_matches_exact_at_large_n1(n1, model):
     exact = graph_gf_value(p, [Fraction(1), Fraction(11, 10), Fraction(9, 10)]) / v_factor(p.n1, p.n2)
     log_exact = math.log(exact.numerator) - math.log(exact.denominator)
     assert abs(_contour_log_coefficient(p, [1.0, 1.1, 0.9], None, None) - log_exact) <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert contour_extract(p, [1.0, 1.1, 0.9]) == math.inf  # log_exact > 709.8
 
 
 def test_contour_log_coefficient_approaches_laplace():

@@ -430,7 +430,7 @@ def test_asymptote_overflow_reports_one_error_line_without_warnings(capsys):
         code, out, err = run_cli(["asymptote", "--n1", "2000", "--alpha", "1", "--q", "3"], capsys)
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["error: contour coefficient exp(1381.6) overflows a float"]
+    assert err.splitlines() == ["error: non-finite result field(s): coefficient_estimate"]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
