@@ -10,7 +10,8 @@ defines the name and is never cached here, so a wrapper installed on the
 submodule is always seen.  ``import degseq.cli`` and ``degseq exact`` load
 neither numpy nor scipy; ``limit-law``, ``sample``, ``asymptote`` and
 ``verify`` load numpy, and each scipy piece is imported inside the one
-function that uses it (tests/test_import_policy.py).
+function that uses it, so ``limit-law`` and ``asymptote`` load none
+(tests/test_import_policy.py).
 """
 
 import importlib

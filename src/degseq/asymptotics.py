@@ -21,6 +21,11 @@ from .series import check_model
 
 FD_STEP = 1e-5
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finite
+# saddle solve: absolute and relative bracket tolerances and step limit; the
+# relative tolerance and step limit are scipy.optimize.brentq's defaults
+BRENT_XTOL = 1e-30
+BRENT_RTOL = 4 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
 MAX_POINTS = 1 << 24  # contour points; peak memory ~48 B/point (measured at 2^20-2^22), ~0.8 GB
 
 
@@ -93,21 +98,68 @@ def solve_zeta(alpha: float, u) -> float:
     method on the bracket [1e-13, 1 - 1e-13]; for u = 1 the root is
     alpha/(1+alpha).
 
-    Convergence is judged by the bracket width alone (brentq's relative
-    tolerance, 4 ulp): a residual bound cannot be met where the slope
-    ~alpha(1+alpha)/zeta makes one ulp of zeta move the residual past it.
+    Convergence is judged by the bracket width alone (BRENT_RTOL, 4 ulp
+    relative, plus BRENT_XTOL absolute): a residual bound cannot be met where
+    the slope ~alpha(1+alpha)/zeta makes one ulp of zeta move the residual
+    past it.
     """
-    from scipy.optimize import brentq
-
     _check_alpha(alpha)
     w = _as_weights(u).tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
-    lo, hi = 1e-13, 1.0 - 1e-13
-    if not (z_log_deriv_path(lo, w) < alpha < z_log_deriv_path(hi, w)):
+    return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, 1e-13, 1.0 - 1e-13)
+
+
+def _brentq(f, xpre: float, xcur: float) -> float:
+    """Root of f between xpre and xcur by Brent's method (Brent 1973, ch. 4),
+    ported operation for operation from scipy's brentq.c so that the iterates,
+    and the root, are the same floats as scipy.optimize.brentq's.  A NaN value
+    or ends of one sign raise DomainError; BRENT_MAXITER steps without
+    convergence raise ConvergenceError."""
+
+    def value(x):
+        fx = f(x)
+        if fx != fx:
+            raise DomainError("saddle equation is NaN at z=%r; weights out of range" % x)
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
         raise DomainError("saddle bracket has no sign change; weights out of range")
-    try:
-        return brentq(lambda z: z_log_deriv_path(z, w) - alpha, lo, hi, xtol=1e-30)
-    except RuntimeError as exc:
-        raise ConvergenceError("saddle solve failed: %s" % exc) from exc
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's step is then inf or NaN, which fails the test below
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise ConvergenceError("saddle solve failed: no convergence in %d iterations" % BRENT_MAXITER)
 
 
 def phi_second(zeta: float, u) -> float:

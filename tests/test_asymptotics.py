@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from degseq.asymptotics import (
     FD_STEP,
+    _brentq,
     _contour_log_coefficient,
     a_zero,
     asymptotic_log_gf,
@@ -29,7 +30,7 @@ from degseq.asymptotics import (
     solve_zeta,
     z_log_deriv_path,
 )
-from degseq.errors import DomainError
+from degseq.errors import ConvergenceError, DomainError
 from degseq.exact import GraphClassParams, graph_gf_value, v_factor
 
 
@@ -114,6 +115,61 @@ def test_solve_zeta_monotone_bracket():
     grid = np.linspace(0.05, 0.95, 19)
     values = [z_log_deriv_path(z, u) for z in grid]
     assert all(a < b for a, b in zip(values, values[1:]))
+
+
+def _saddle_oracle_cases():
+    """(alpha, u) pairs for the bit-identity check: a seeded random set over
+    alpha in [1e-6, 1e5], q in 2..10 and weights in e^[-3, 3]; the six saddles
+    of the benchmark's asymptote sweep (alpha in {0.5, 1, 2}, unit and tilted
+    q = 4 weights; the model does not enter the solve); the extreme alphas; and
+    three far-out cases that exercise the port's division-by-zero branch."""
+    rng = np.random.default_rng(20141015)
+    cases = []
+    for _ in range(2000):
+        q = int(rng.integers(2, 11))
+        cases.append((float(10.0 ** rng.uniform(-6.0, 5.0)), np.exp(rng.uniform(-3.0, 3.0, q)).tolist()))
+    for alpha in (0.5, 1.0, 2.0):
+        cases += [(alpha, [1.0] * 4), (alpha, [1.0, 1.1, 0.9, 1.05])]
+    for alpha in (1e-6, 1e5):
+        cases += [(alpha, [1.0] * 3), (alpha, [1.0, 1.1, 0.9, 1.05])]
+    # extreme weights whose secant and extrapolation steps divide by zero
+    cases += [
+        (3.2022275100773157e-174, [8.645641342723449e150, 3.9235741059489045e206, 3.6454012940350845e-245,
+                                   4.464794696595408e56]),
+        (3.27329381729125e-154, [2.5622594042816536e-48, 8.268527110785773e164]),
+        (8.41583208431369e-219, [3.1271374239397427e297, 1.4381361604717245e210]),
+    ]
+    return cases
+
+
+def test_solve_zeta_is_bit_identical_to_scipy_brentq():
+    from scipy.optimize import brentq  # test-only oracle: the package never loads scipy.optimize
+
+    mismatches = []
+    for alpha, u in _saddle_oracle_cases():
+        expected = brentq(lambda z: z_log_deriv_path(z, u) - alpha, 1e-13, 1 - 1e-13, xtol=1e-30)
+        zeta = solve_zeta(alpha, u)
+        if zeta != expected:
+            mismatches.append((alpha, u, zeta, expected))
+    assert mismatches == []
+
+
+def test_brentq_port_raises_package_errors():
+    # a fifth-order root: scipy's brentq also stops after 100 steps here
+    with pytest.raises(ConvergenceError, match="100 iterations"):
+        _brentq(lambda x: (x - 0.3) ** 5, -2.0, 2.0)
+    assert abs(_brentq(lambda x: math.atan(50.0 * (x - 0.3)), -2.0, 2.0) - 0.3) <= 1e-15
+
+    def nan_inside(x):
+        return x - 0.5 if x in (0.0, 1.0) else math.nan
+
+    # a NaN stops the solve instead of steering it; endpoints are checked too
+    with pytest.raises(DomainError, match="NaN"):
+        _brentq(nan_inside, 0.0, 1.0)
+    with pytest.raises(DomainError, match="NaN"):
+        _brentq(lambda x: math.nan if x == 1.0 else -1.0, 0.0, 1.0)
+    with pytest.raises(DomainError, match="no sign change"):
+        _brentq(lambda x: x + 2.0, 0.0, 1.0)
 
 
 def test_path_positivity_guard():

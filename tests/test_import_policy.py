@@ -1,8 +1,9 @@
-"""Import policy: ``degseq exact`` runs without numpy or scipy, and the lazy
-``degseq`` namespace still exports every name it did when it imported all
-submodules eagerly.  numpy is loaded by the submodules that use it (asymptotics,
-sampler, stats, verify); each scipy piece is imported inside the one function
-that uses it (census_rows, solve_zeta, chi_square_gof)."""
+"""Import policy: ``degseq exact`` runs without numpy or scipy, ``degseq
+limit-law`` and ``degseq asymptote`` without scipy, and the lazy ``degseq``
+namespace still exports every name it did when it imported all submodules
+eagerly.  numpy is loaded by the submodules that use it (asymptotics, sampler,
+stats, verify); each of the two scipy pieces is imported inside the one function
+that uses it (census_rows, chi_square_gof)."""
 
 import json
 import os
@@ -29,9 +30,12 @@ codes = [degseq.cli.main(["exact", "--n1", "4", "--n2", "4", "--q", "8", "--out"
 after_exact = loaded("numpy") + loaded("scipy")
 codes.append(degseq.cli.main(["limit-law", "--alpha", "1", "--q", "4", "--out", os.path.join(out, "law.json")]))
 after_law = {"numpy": "numpy" in sys.modules, "scipy": loaded("scipy")}
+codes.append(degseq.cli.main(["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9",
+                              "--out", os.path.join(out, "asym.json")]))
+after_asymptote = loaded("scipy")
 degseq.run_experiment(degseq.GraphClassParams(4, 4, q=3), 5, seed=1)
 print(json.dumps({"codes": codes, "after_exact": after_exact, "after_law": after_law,
-                  "after_sample": loaded("scipy")}))
+                  "after_asymptote": after_asymptote, "after_sample": loaded("scipy")}))
 """
 
 # The names `import degseq` bound when __init__ imported every submodule.
@@ -62,8 +66,9 @@ def test_exact_and_limit_law_load_no_scipy(tmp_path):
         check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["codes"] == [0, 0]
+    assert report["codes"] == [0, 0, 0]
     assert report["after_exact"] == []
+    assert report["after_asymptote"] == []
     # positive controls: the limit law loads numpy, the sampler's labeller
     # loads scipy, and the probe sees both
     assert report["after_law"] == {"numpy": True, "scipy": []}
