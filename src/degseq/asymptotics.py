@@ -234,6 +234,8 @@ def _laplace_weights(params, u):
         raise DomainError("n1 must be even")
     if params.n1 < 2:
         raise DomainError("the Laplace estimate needs n1 >= 2")
+    if params.n2 == 0:
+        raise DomainError("n2 = 0 gives alpha = 0: there is no saddle point")
     return ones_weights(params.q) if u is None else _as_weights(u, params.q)
 
 
@@ -260,7 +262,8 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     the smallest power of two >= max(1024, 32 / (1 - zeta)), as the integrand
     sharpens when zeta nears 1; more than MAX_POINTS points raise DomainError,
     and so does a cycle factor that overflows.  A coefficient beyond the
-    largest float gives inf, without warnings.
+    largest float gives inf, without warnings.  At n2 = 0 there is no saddle
+    (alpha = 0) and no integral: the coefficient is u_2^{n1/2} in closed form.
     """
     log_coefficient = _contour_log_coefficient(params, u, zeta, points)
     return math.exp(log_coefficient) if log_coefficient <= LOG_FLOAT_MAX else math.inf
@@ -280,6 +283,8 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
     if params.n1 % 2:
         raise DomainError("n1 must be even")
     u = ones_weights(params.q) if u is None else _as_weights(u, params.q)
+    if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
+        return params.n1 // 2 * math.log(u[1])
     if zeta is None:
         zeta = 0.5 if params.n1 == 0 else solve_zeta(params.alpha, u)
     log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -61,7 +62,9 @@ def _params(args) -> GraphClassParams:
     return GraphClassParams.from_alpha(args.alpha, args.n1, q=args.q, model=args.model)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="degseq",
         description=(

@@ -28,8 +28,8 @@ from .unionfind import UnionFind
 
 SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # graph_gf bound on n1 + n2.  Its time grows about as n2^3 and steeply in q:
-# on a 2-vCPU host q = 2 takes 6.6 s at (n1, n2) = (4, 800) and 23 s at
-# (400, 400), and q = 4 already takes 6.5 s at (4, 200).
+# on a 2-vCPU host q = 2 takes 7.1 s at (n1, n2) = (4, 796) and 25 s at
+# (400, 400), and q = 4 already takes 5.2 s at (4, 200).
 EXACT_SIZE_LIMIT = 800
 # graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
 # host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).

@@ -13,14 +13,19 @@ Conventions used throughout the package:
   floating point: the recurrences run on Python ``int`` numerators over a
   known common scale (Miller's b_m is b_0 u^shift g_m / (m! D^m) with g_m
   integer), and each output term becomes one ``fractions.Fraction`` at the
-  end, so the recurrences reduce no gcd per product or sum.
+  end, so the recurrences reduce no gcd per product or sum;
+* inside products and recurrences a monomial is one ``int`` key, its
+  exponents as balanced base-B digits (Kronecker substitution), so
+  multiplying monomials adds keys; B = 2 * bound + 1 covers every exponent
+  a product can reach, negative ones included, and keys are unpacked only
+  into the exponent tuples of the resulting ``MPoly`` terms.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add, sub
+from operator import sub
 
 MODELS = ("simple", "multigraph")
 
@@ -123,8 +128,7 @@ class MPoly:
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
-            out = {}
-            _mul_into(out, self.terms, other.terms)
+            (out,) = _product([self.terms], [other.terms], self.nvars)
             return MPoly(self.nvars, out)
         scalar = as_fraction(other)
         if not scalar:
@@ -182,32 +186,31 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        order = self.order
-        out = [{} for _ in range(order + 1)]
-        for i, ci in enumerate(self.coeffs):
-            for j in range(order - i + 1):
-                _mul_into(out[i + j], ci.terms, other.coeffs[j].terms)
-        return TruncatedSeries(order, self.nvars, [MPoly(self.nvars, t) for t in out])
+        out = _product([c.terms for c in self.coeffs], [c.terms for c in other.coeffs], self.nvars)
+        return TruncatedSeries(self.order, self.nvars, [MPoly(self.nvars, t) for t in out])
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
         O(order^2) products for any exponent.  The constant coefficient must
         be a single nonzero term."""
-        scale, b0, shift, g = _power_numerators(self, exponent)
-        return self._from_numerators(g, scale, b0, shift)
+        base = _miller_base(self)
+        scale, b0, shift, g = _power_numerators(self, exponent, base)
+        return self._from_numerators(g, scale, b0, shift, base)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term: (exp a)' = a' exp a gives
         m b_m = sum_j j a_j b_{m-j}."""
-        scale, g = _exp_numerators(self)
-        return self._from_numerators(g, scale, Fraction(1), (0,) * self.nvars)
+        base = _miller_base(self)
+        scale, g = _exp_numerators(self, base)
+        return self._from_numerators(g, scale, Fraction(1), (0,) * self.nvars, base)
 
-    def _from_numerators(self, g, scale, b0, shift):
-        """The series b_m = b0 * u^shift * g_m / (m! * scale^m): one Fraction
-        per term."""
+    def _from_numerators(self, g, scale, b0, shift, base):
+        """The series b_m = b0 * u^shift * g_m / (m! * scale^m), g_m keyed in
+        base ``base``: one Fraction per term."""
         coeffs = []
         c = b0
         for m, gm in enumerate(g):
+            gm = _unpacked(gm, base, self.nvars)
             coeffs.append(MPoly(self.nvars, gm) * MPoly(self.nvars, {shift: c}))
             c /= (m + 1) * scale
         return TruncatedSeries(self.order, self.nvars, coeffs)
@@ -216,37 +219,89 @@ class TruncatedSeries:
         return "TruncatedSeries(%d, %d, %r)" % (self.order, self.nvars, self.coeffs)
 
 
-def _numerators(coeffs):
+def _pack(exps, base):
+    """The exponent tuple as balanced base-``base`` digits, u_1's lowest: keys
+    add as their tuples do while every entry stays within +-(base // 2)."""
+    key = 0
+    for e in reversed(exps):
+        key = key * base + e
+    return key
+
+
+def _columns(keys, base, nvars):
+    """The exponents of the packed keys, one list per u_1..u_nvars: adding
+    ``half`` to every digit leaves plain base-``base`` digits to read off."""
+    half = base // 2
+    offset = _pack((half,) * nvars, base)
+    keys = [key + offset for key in keys]
+    return [[key // p % base - half for key in keys] for p in (base**i for i in range(nvars))]
+
+
+def _unpacked(terms, base, nvars):
+    """The term dict with its packed keys turned back into exponent tuples."""
+    exps = zip(*_columns(terms, base, nvars)) if nvars else [()] * len(terms)
+    return dict(zip(exps, terms.values()))
+
+
+def _max_exponent(term_dicts):
+    """Largest |exponent| in the tuple-keyed term dicts (0 if there is none)."""
+    return max((max(map(abs, e), default=0) for terms in term_dicts for e in terms), default=0)
+
+
+def _product(a, b, nvars):
+    """Tuple-keyed term dicts of the truncated product of the series whose
+    z^k coefficients are the term dicts a[k] and b[k]."""
+    base = 2 * (_max_exponent(a) + _max_exponent(b)) + 1
+    a, b = ([{_pack(e, base): c for e, c in t.items()} for t in x] for x in (a, b))
+    out = [{} for _ in a]
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            _mul_into(out[i + j], ai, b[j])
+    return [_unpacked(t, base, nvars) for t in out]
+
+
+def _miller_base(*series):
+    """Key base for Miller's recurrence on these series: a term sums <= order
+    exponent tuples of a_j (exp) or a_j / a_0 (power), each within 2 max|e|."""
+    bound = 2 * series[0].order * _max_exponent(c.terms for s in series for c in s.coeffs)
+    return 2 * bound + 1
+
+
+def _numerators(coeffs, base):
     """(D, A) with A_j = D * coeffs_j integer-valued and D the lcm of every
-    denominator; coeffs are dicts {exps: Fraction}."""
+    denominator; coeffs are dicts {exps: Fraction}, A_j dicts {key: int} in
+    base ``base``."""
     scale = math.lcm(*(c.denominator for a in coeffs for c in a.values()))
-    return scale, [{e: int(c * scale) for e, c in a.items()} for a in coeffs]
+    return scale, [{_pack(e, base): int(c * scale) for e, c in a.items()} for a in coeffs]
 
 
 def _mul_into(acc, a, b, factor=1):
-    """acc += factor * a * b for term dicts {exps: coeff}, int or Fraction."""
-    get = acc.get
+    """acc += factor * a * b for term dicts {packed key: coeff}, int or Fraction."""
     for e1, c1 in a.items():
         if factor != 1:
             c1 *= factor
-        for e2, c2 in b.items():
-            key = tuple(map(add, e1, e2))
-            prev = get(key)
-            acc[key] = c1 * c2 if prev is None else prev + c1 * c2
+        for key, c in b.items():
+            key += e1
+            c *= c1
+            if key in acc:
+                acc[key] += c
+            else:
+                acc[key] = c
 
 
-def _miller(a, scale, order, weight, shift):
+def _miller(a, scale, order, weight, shift, base):
     """g_0..g_order of the fraction-free Miller recurrence
 
         g_0 = 1,  g_m = sum_{j=1..m} weight(j, m) (m-1)!/(m-j)! D^{j-1} A_j g_{m-j},
 
     where the integer dicts A_j = a[j] encode alpha_j = A_j / D (D = scale)
     and the solution of m beta_m = sum_j weight(j, m) alpha_j beta_{m-j},
-    beta_0 = 1, is beta_m = g_m / (m! D^m).  Exponents may be negative
-    (alpha_j = a_j / a_0 shifts by the lead monomial), but u^shift * g_m must
-    be a polynomial: a term left with a negative exponent means a_0 did not
-    divide the sum, and raises ValueError."""
-    g = [{(0,) * len(shift): 1}]
+    beta_0 = 1, is beta_m = g_m / (m! D^m), all keyed in base ``base``.
+    Exponents may be negative (alpha_j = a_j / a_0 shifts by the lead
+    monomial), but u^shift * g_m must be a polynomial: a term left with a
+    negative exponent means a_0 did not divide the sum, and raises
+    ValueError."""
+    g = [{0: 1}]
     for m in range(1, order + 1):
         acc = {}
         falling = 1  # (m-1)!/(m-j)! * D^{j-1}
@@ -256,24 +311,24 @@ def _miller(a, scale, order, weight, shift):
                 _mul_into(acc, a[j], g[m - j], w)
             falling *= (m - j) * scale
         gm = {e: c for e, c in acc.items() if c}
-        for e in gm:
-            if min(map(add, e, shift), default=0) < 0:
+        for column, s in zip(_columns(gm, base, len(shift)), shift):
+            if min(column, default=0) + s < 0:
                 raise ValueError("a_0 does not divide the sum at z^%d" % m)
         g.append(gm)
     return g
 
 
-def _exp_numerators(series: TruncatedSeries):
+def _exp_numerators(series: TruncatedSeries, base):
     """(D, g) with [z^m] exp(series) = g_m / (m! D^m): Miller's recurrence on
     alpha_j = j a_j with weight 1, D the lcm of their denominators."""
     if not series.coeffs[0].is_zero():
         raise ValueError("exp requires a zero constant term")
     alpha = [{e: j * c for e, c in a.terms.items()} for j, a in enumerate(series.coeffs)]
-    scale, ints = _numerators(alpha)
-    return scale, _miller(ints, scale, series.order, lambda j, m: 1, (0,) * series.nvars)
+    scale, ints = _numerators(alpha, base)
+    return scale, _miller(ints, scale, series.order, lambda j, m: 1, (0,) * series.nvars, base)
 
 
-def _power_numerators(series: TruncatedSeries, exponent: int):
+def _power_numerators(series: TruncatedSeries, exponent: int, base):
     """(D, b0, shift, g) with [z^m] series**exponent = b0 u^shift g_m / (m! D^m),
     where a_0 = c0 u^lead, b0 = c0^exponent, shift = exponent * lead: Miller's
     recurrence on alpha_j = a_j / a_0 with weight (exponent + 1) j - m."""
@@ -285,10 +340,10 @@ def _power_numerators(series: TruncatedSeries, exponent: int):
     alpha = [
         {tuple(map(sub, e, lead)): c / c0 for e, c in a.terms.items()} for a in series.coeffs
     ]
-    scale, ints = _numerators(alpha)
+    scale, ints = _numerators(alpha, base)
     shift = tuple(e * exponent for e in lead)
     k1 = exponent + 1
-    g = _miller(ints, scale, series.order, lambda j, m: k1 * j - m, shift)
+    g = _miller(ints, scale, series.order, lambda j, m: k1 * j - m, shift, base)
     return scale, c0**exponent, shift, g
 
 
@@ -299,15 +354,18 @@ def product_coefficient(cyc: TruncatedSeries, path: TruncatedSeries, k: int, sca
 
         b0 u^shift sum_i C(n, i) D_E^{n-i} D_P^i gE_i gP_{n-i} / (n! (D_E D_P)^n):
 
-    O(n) integer polynomial products, then one Fraction per output term."""
+    O(n) integer polynomial products on packed keys, then one Fraction per
+    output term."""
     cyc._check_compatible(path)
     n = cyc.order
-    de, ge = _exp_numerators(cyc)
-    dp, b0, shift, gp = _power_numerators(path, k)
+    base = _miller_base(cyc, path)
+    de, ge = _exp_numerators(cyc, base)
+    dp, b0, shift, gp = _power_numerators(path, k, base)
     acc = {}
     for i in range(n + 1):
         _mul_into(acc, ge[i], gp[n - i], math.comb(n, i) * de ** (n - i) * dp**i)
     c = b0 * as_fraction(scale) / (math.factorial(n) * (de * dp) ** n)
+    acc = _unpacked(acc, base, cyc.nvars)
     return MPoly(cyc.nvars, acc) * MPoly(cyc.nvars, {shift: c})
 
 

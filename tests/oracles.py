@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
-from degseq.series import MPoly, TruncatedSeries, _mul_into
+from degseq.series import MPoly, TruncatedSeries
+
+
+def _mul_into(acc, a, b, factor):
+    """acc += factor * a * b on tuple-keyed term dicts: the oracle's own
+    product, apart from the package's packed-key one."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(x + y for x, y in zip(e1, e2))
+            acc[key] = acc.get(key, 0) + factor * c1 * c2
 
 
 def series_log(a):

@@ -273,6 +273,17 @@ def test_contour_extract_small_case():
     assert contour_extract(p) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_contour_extract_at_n2_zero_is_the_closed_form():
+    # [z^0] exp(Cyc) Path^{n1/2} = u_2^{n1/2}: alpha = 0 has no saddle, so
+    # the saddle solve must not be reached
+    p = GraphClassParams(6, 0, q=3)
+    assert float(graph_gf_value(p, [1, Fraction(3, 2), 1]) / v_factor(6, 0)) == 27 / 8
+    assert contour_extract(p, [1, 1.5, 1]) == 27 / 8
+    p = GraphClassParams(40, 0, q=4, model="multigraph")
+    assert contour_extract(p, [2.0, 1.1, 0.5, 3.0]) == pytest.approx(1.1**20, rel=1e-14)
+    assert contour_extract(GraphClassParams(0, 0, q=2)) == 1.0
+
+
 def test_contour_extract_matches_exact():
     p = GraphClassParams(20, 10, q=3)
     exact = float(graph_gf_value(p) / v_factor(20, 10))

@@ -69,6 +69,24 @@ def test_exact_multigraph_output_matches_pinned_digest(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["--n1", "40", "--n2", "40", "--q", "6"],
+         "a34498f3f4a1238831f0fbd36d61066e52235da043c7ebac961f4aad9cd8e80d"),
+        (["--n1", "30", "--n2", "30", "--q", "5", "--model", "multigraph"],
+         "2a6ba54af5abfc1053d0adb048885e9203bea642f672a319ee06ab1e73454fdb"),
+    ],
+)
+def test_exact_output_at_larger_exponents_matches_pinned_digest(tmp_path, capsys, args, digest):
+    # computed on the tuple-keyed series kernel, before monomials became
+    # packed integer keys; the first digest is also checked in CI
+    out = tmp_path / "census.json"
+    code, _, _ = run_cli(["exact"] + args + ["--out", str(out)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @given(
     st.integers(0, 6),
     st.integers(0, 10),
@@ -442,6 +460,13 @@ def test_asymptote_reports_the_laplace_checks_first(capsys, n1, message):
     code, out, err = run_cli(["asymptote", "--n1", n1, "--n2", "2"], capsys)
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+def test_asymptote_at_n2_zero_names_the_missing_saddle(capsys):
+    # alpha = 2 n2 / n1 = 0: the error names n2 = 0, not the saddle's alpha check
+    code, out, err = run_cli(["asymptote", "--n1", "6", "--n2", "0", "--q", "3"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: n2 = 0 gives alpha = 0: there is no saddle point\n"
 
 
 def test_asymptote_rejects_too_many_weights(capsys):

@@ -8,6 +8,8 @@ from degseq.series import (
     MPoly,
     TruncatedSeries,
     _miller,
+    _pack,
+    _unpacked,
     build_cycle_series,
     build_path_series,
     product_coefficient,
@@ -110,11 +112,40 @@ def test_pow_rejects_lowest_coefficient_with_several_terms():
 
 def test_miller_rejects_a_term_left_with_a_negative_exponent():
     # a_0 must divide every b_m; the check is a ValueError, so python -O
-    # keeps it
+    # keeps it.  _miller runs on packed keys, so its calls go through the
+    # codec (base 3 holds exponents -1..1)
     a = [{}, {(-1, 0): 1}]
+    packed = [{_pack(e, 3): c for e, c in t.items()} for t in a]
     with pytest.raises(ValueError, match="does not divide"):
-        _miller(a, 1, 1, lambda j, m: 1, (0, 0))
-    assert _miller(a, 1, 1, lambda j, m: 1, (1, 0)) == [{(0, 0): 1}, {(-1, 0): 1}]
+        _miller(packed, 1, 1, lambda j, m: 1, (0, 0), 3)
+    g = _miller(packed, 1, 1, lambda j, m: 1, (1, 0), 3)
+    assert [_unpacked(t, 3, 2) for t in g] == [{(0, 0): 1}, {(-1, 0): 1}]
+
+
+@pytest.mark.parametrize("q", range(2, 11))
+def test_packed_keys_round_trip_at_the_extreme_digits(q):
+    # at (n1, n2) = (40, 40) the path power's u_2 exponent reaches -n2 before
+    # the shift, and no exponent exceeds the n1/2 + n2 components
+    n2, bound = 40, 20 + 40
+    base = 2 * bound + 1
+    extremes = (-bound, -n2, -1, 0, 1, n2, bound)
+    tuples = {tuple(extremes[(i + s) % len(extremes)] for i in range(q)) for s in range(7)}
+    tuples |= {(-bound,) * q, (bound,) * q, (0, -n2) + (bound,) * (q - 2)}
+    assert _unpacked({_pack(e, base): e for e in tuples}, base, q) == {e: e for e in tuples}
+    for e1 in tuples:
+        for e2 in tuples:
+            total = tuple(x + y for x, y in zip(e1, e2))
+            if max(map(abs, total)) <= bound:
+                key = _pack(e1, base) + _pack(e2, base)
+                assert _unpacked({key: 1}, base, q) == {total: 1}
+
+
+@given(st.integers(0, 10), st.integers(0, 200), st.data())
+def test_packed_keys_round_trip(q, bound, data):
+    exps = st.tuples(*[st.integers(-bound, bound)] * q)
+    terms = {e: 1 for e in data.draw(st.lists(exps, max_size=20))}
+    base = 2 * bound + 1
+    assert _unpacked({_pack(e, base): 1 for e in terms}, base, q) == terms
 
 
 def test_build_path_patterns():
