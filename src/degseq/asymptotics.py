@@ -9,7 +9,6 @@ multigraphs.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -45,10 +44,6 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError("alpha must be positive and finite")
 
 
-def ones_weights(q: int) -> np.ndarray:
-    return np.ones(q)
-
-
 def path_value(z, u, k: int = 0):
     """k-th z-derivative of the path-component series
     1/(1-z) + sum_{j=2}^q (u_j - 1) z^{j-2}; accepts real, complex, or
@@ -61,15 +56,10 @@ def path_value(z, u, k: int = 0):
     return acc
 
 
-def cycle_value(z, u, model: str = "simple"):
-    """Cycle-component series at z; loops (size 1) and double edges (size 2)
-    appear only in the multigraph model."""
-    log = np.log if isinstance(z, np.ndarray) else cmath.log if isinstance(z, complex) else math.log
-    return _cycle_polynomial(z, u, model, 0.5 * log(1.0 / (1.0 - z)))
-
-
 def _cycle_polynomial(z, u, model: str, acc=0.0):
-    """acc plus the cycle series less its log(1/(1-z))/2, in cycle_value's order."""
+    """acc plus the cycle-component series less its log(1/(1-z))/2, in a_zero's
+    order; loops (size 1) and double edges (size 2) appear only in the
+    multigraph model."""
     check_model(model)
     first = 1 if model == "multigraph" else 3
     if model == "simple":
@@ -106,6 +96,20 @@ def solve_zeta(alpha: float, u) -> float:
     _check_alpha(alpha)
     w = _as_weights(u).tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
     return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, 1e-13, 1.0 - 1e-13)
+
+
+def _cycle_saddle(n2: int, u: np.ndarray, model: str) -> float:
+    """Saddle radius of z^{-n2} exp(Cyc(z,u)), the root in (0,1) of
+    z Cyc'(z) = z^first/(2(1-z)) + sum_{j>=first} (u_j - 1) z^j/2 = n2, where
+    first is the smallest cycle size (1 multigraph, 3 simple).  Cyc has
+    nonnegative coefficients, so z Cyc' rises from 0 to infinity on (0,1)."""
+    first = 1 if model == "multigraph" else 3
+    w = [(j, x - 1.0) for j, x in enumerate(u.tolist(), 1) if j >= first and x != 1.0]
+
+    def excess(z):
+        return z**first / (2.0 * (1.0 - z)) + sum(c * z**j for j, c in w) / 2.0 - n2
+
+    return _brentq(excess, 1e-13, 1.0 - 1e-13)
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -181,7 +185,8 @@ def a_zero(zeta: float, u, model: str = "simple") -> float:
     DomainError when it overflows a float."""
     if not 0 < zeta < 1:
         raise DomainError("zeta must lie in (0,1)")
-    log_a0 = cycle_value(float(zeta), _as_weights(u), model)
+    zeta = float(zeta)
+    log_a0 = _cycle_polynomial(zeta, _as_weights(u), model, 0.5 * math.log(1.0 / (1.0 - zeta)))
     if not log_a0 <= LOG_FLOAT_MAX:
         raise DomainError("cycle factor exp(Cycle(zeta)) overflows; weights out of range")
     return math.exp(log_a0)
@@ -195,7 +200,6 @@ class SaddleData:
     phi2: float
     a0: float
     path_at_zeta: float
-    u: np.ndarray
 
 
 def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
@@ -206,7 +210,6 @@ def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
         phi2=phi_second(zeta, u),
         a0=a_zero(zeta, u, model),
         path_at_zeta=float(path_value(zeta, u)),
-        u=u,
     )
 
 
@@ -236,7 +239,7 @@ def _laplace_weights(params, u):
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
         raise DomainError("n2 = 0 gives alpha = 0: there is no saddle point")
-    return ones_weights(params.q) if u is None else _as_weights(u, params.q)
+    return np.ones(params.q) if u is None else _as_weights(u, params.q)
 
 
 def _laplace_log_gf(params, sd: SaddleData) -> float:
@@ -254,7 +257,8 @@ def _laplace_log_gf(params, sd: SaddleData) -> float:
 def contour_extract(params, u=None, zeta: float | None = None, points: int | None = None) -> float:
     """Coefficient of z^{n2} in the cycle-set/path-power product by trapezoid
     quadrature of the Cauchy integral on the circle of radius zeta (default:
-    the saddle).
+    the saddle, of the path power for n1 > 0 and of z^{-n2} exp(Cyc) at
+    n1 = 0).
 
     The integrand is 2-pi-periodic and analytic, so the uniform trapezoid rule
     converges spectrally; multiplying by the relabelling prefactor recovers
@@ -282,11 +286,14 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
     if params.n1 % 2:
         raise DomainError("n1 must be even")
-    u = ones_weights(params.q) if u is None else _as_weights(u, params.q)
+    u = np.ones(params.q) if u is None else _as_weights(u, params.q)
     if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
         return params.n1 // 2 * math.log(u[1])
     if zeta is None:
-        zeta = 0.5 if params.n1 == 0 else solve_zeta(params.alpha, u)
+        if params.n1 == 0:
+            zeta = _cycle_saddle(params.n2, u, params.model)
+        else:
+            zeta = solve_zeta(params.alpha, u)
     log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))

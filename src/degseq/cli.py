@@ -17,7 +17,7 @@ import os
 import sys
 
 from .errors import DegseqError
-from .exact import GraphClassParams, census_json_text, census_to_json, graph_gf
+from .exact import GraphClassParams, census_json_text, graph_gf
 from .series import MODELS
 
 
@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--model", choices=MODELS, default="simple")
     p_asym.add_argument("--u", help="comma-separated weights u_2..u_q (default all 1)")
     p_asym.add_argument("--u1", type=float, default=1.0, help="loop weight (multigraph)")
-    p_asym.add_argument("--points", type=int, help="contour quadrature points (default: from zeta)")
     p_asym.add_argument("--out", help="output JSON path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
@@ -123,17 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_exact(args) -> int:
     params = GraphClassParams(args.n1, args.n2, q=args.q, model=args.model)
-    gf = graph_gf(params)
-    pmf = gf.pmf()  # EmptyClassError for an empty class
-    payload = {
-        "params": {"n1": args.n1, "n2": args.n2, "q": args.q, "model": args.model},
-        **census_to_json(gf),
-        "pmf": [
-            {"counts": list(k), "num": p.numerator, "den": p.denominator}
-            for k, p in pmf.items()
-        ],
-    }
-    _write_text(census_json_text(payload), args.out)
+    _write_text(census_json_text(params, graph_gf(params)), args.out)
     return 0
 
 
@@ -176,7 +165,7 @@ def _cmd_asymptote(args) -> int:
         "a_zero": sd.a0,
         "path_at_zeta": sd.path_at_zeta,
         "log_gf_estimate": _laplace_log_gf(params, sd),
-        "coefficient_estimate": contour_extract(params, u, zeta=sd.zeta, points=args.points),
+        "coefficient_estimate": contour_extract(params, u, zeta=sd.zeta),
     }
     _write_json(payload, args.out)
     return 0

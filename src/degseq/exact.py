@@ -77,10 +77,6 @@ class GraphClassParams:
             raise ValueError("alpha is undefined for n1 = 0")
         return 2.0 * self.n2 / self.n1
 
-    @property
-    def n_vertices(self) -> int:
-        return self.n1 + self.n2
-
 
 @dataclass(frozen=True)
 class CensusPolynomial:
@@ -367,21 +363,26 @@ def census_to_json(census: CensusPolynomial) -> dict:
 _TERM = '    {\n      "%s": [\n        %s\n      ],\n      "num": %s,\n      "den": %s\n    }'
 
 
-def census_json_text(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` for the
-    ``degseq exact`` payload (params, q, total, polynomial, pmf) at a fraction of
-    the cost: the indented encoder is pure Python, so term lists use a template."""
-    parts = []
-    for key, value in payload.items():
-        if key in ("polynomial", "pmf"):
-            name = "exponents" if key == "polynomial" else "counts"
-            terms = (_TERM % (name, ",\n        ".join(map(str, t[name])), t["num"], t["den"])
-                     for t in value)
-            body = "[\n%s\n  ]" % ",\n".join(terms) if value else "[]"
-        else:
-            body = json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n  ")
-        parts.append("  %s: %s" % (json.dumps(key), body))
-    return "{\n" + ",\n".join(parts) + "\n}\n"
+def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
+    """The ``degseq exact`` output: ``json.dumps(payload, indent=2) + "\\n"``
+    of {params, q, total, polynomial (as in census_to_json), pmf (the
+    {counts, num, den} rows of census.pmf())}, at a fraction of the cost: the
+    indented encoder is pure Python, so the terms are laid out from a
+    template.  Raises EmptyClassError for an empty class."""
+    pmf = census.pmf()  # sorted by exponent tuple
+    head = {
+        "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
+        "q": census.q,
+        "total": {"num": census.total.numerator, "den": census.total.denominator},
+    }
+    polynomial = ((e, census.poly.terms[e]) for e in pmf)
+    lists = []
+    for name, terms in (("exponents", polynomial), ("counts", pmf.items())):
+        rows = (_TERM % (name, ",\n        ".join(map(str, e)), c.numerator, c.denominator)
+                for e, c in terms)
+        lists.append(",\n".join(rows))
+    return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (
+        json.dumps(head, indent=2)[:-2], *lists)  # head without its closing "\n}"
 
 
 def census_from_json(obj: dict) -> CensusPolynomial:

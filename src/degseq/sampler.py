@@ -35,10 +35,6 @@ class StubMultigraph:
     edges: tuple
 
     @property
-    def n_vertices(self) -> int:
-        return self.n1 + self.n2
-
-    @property
     def loop_count(self) -> int:
         return sum(a == b for a, b in self.edges)
 
@@ -108,10 +104,6 @@ class ComponentCensus:
     component_sizes_sum: int
     path_components: int
     cycle_components: int
-
-    @property
-    def total_components(self) -> int:
-        return self.path_components + self.cycle_components
 
 
 def _labelled(g: StubMultigraph) -> UnionFind:
@@ -301,10 +293,13 @@ def run_experiment(
     )
 
 
+def _csv_columns(q: int) -> list:
+    return ["rep_id"] + ["U_%d" % j for j in range(1, q + 1)] + ["tail_count"]
+
+
 def write_samples_csv(result: ExperimentResult, path: str) -> None:
     """CSV stream of the census matrix: rep_id, U_1..U_q, tail_count."""
-    q = result.params.q
-    header = "rep_id," + ",".join("U_%d" % j for j in range(1, q + 1)) + ",tail_count"
+    header = ",".join(_csv_columns(result.params.q))
     rows = np.column_stack((np.arange(result.n_reps), result.counts, result.tail_counts))
     np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
 
@@ -318,5 +313,5 @@ def sidecar_metadata(result: ExperimentResult) -> dict:
         "chunk_reps": CHUNK_REPS,
         "pairings_examined": result.pairings_examined,
         "params": {"n1": p.n1, "n2": p.n2, "q": p.q, "model": p.model},
-        "columns": ["rep_id"] + ["U_%d" % j for j in range(1, p.q + 1)] + ["tail_count"],
+        "columns": _csv_columns(p.q),
     }

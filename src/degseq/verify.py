@@ -26,7 +26,6 @@ from .asymptotics import (
     contour_extract,
     hessian_H,
     limit_law,
-    ones_weights,
     phi_second,
     solve_zeta,
 )
@@ -131,7 +130,7 @@ def check_saddle_closed_form() -> dict:
     worst_zeta = 0.0
     worst_phi2 = 0.0
     for alpha in (0.1, 0.5, 1.0, 2.0, 10.0):
-        u = ones_weights(4)
+        u = np.ones(4)
         zeta = solve_zeta(alpha, u)
         worst_zeta = max(worst_zeta, abs(zeta - alpha / (1 + alpha)))
         worst_phi2 = max(worst_phi2, abs(phi_second(zeta, u) - alpha * (1 + alpha)))
@@ -176,18 +175,14 @@ def check_contour_extraction() -> dict:
     """Trapezoid contour coefficients match exact extraction to 1e-8 relative."""
     worst = 0.0
     weights = [
-        None,
+        (None, None),
         ([1.0, 1.1, 0.9], [Fraction(1), Fraction(11, 10), Fraction(9, 10)]),
     ]
     for n1, n2 in ((2, 1), (20, 10)):
         p = GraphClassParams(n1, n2, q=3)
-        for w in weights:
-            if w is None:
-                got = contour_extract(p, points=1024)
-                exact = graph_gf_value(p) / v_factor(n1, n2)
-            else:
-                got = contour_extract(p, u=w[0], points=1024)
-                exact = graph_gf_value(p, w[1]) / v_factor(n1, n2)
+        for u_float, u_exact in weights:
+            got = contour_extract(p, u=u_float, points=1024)
+            exact = graph_gf_value(p, u_exact) / v_factor(n1, n2)
             worst = max(worst, abs(got / float(exact) - 1.0))
     return {"passed": worst <= 1e-8, "max_rel_err": worst}
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 from fractions import Fraction
 
@@ -18,12 +19,10 @@ from degseq.asymptotics import (
     check_path_positive,
     chi_value,
     contour_extract,
-    cycle_value,
     gradient_chi,
     hessian_H,
     limit_law,
     log_v_factor,
-    ones_weights,
     path_value,
     phi_second,
     saddle_data,
@@ -77,7 +76,7 @@ ALPHAS = (0.1, 0.5, 1.0, 2.0, 10.0)
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_solve_zeta_unit_weights_closed_form(alpha):
-    zeta = solve_zeta(alpha, ones_weights(4))
+    zeta = solve_zeta(alpha, np.ones(4))
     assert abs(zeta - alpha / (1 + alpha)) <= 1e-12
 
 
@@ -85,7 +84,7 @@ def test_solve_zeta_unit_weights_closed_form(alpha):
 def test_solve_zeta_large_alpha(alpha):
     # the slope of z P'/P is ~alpha(1+alpha)/zeta here, so one ulp of zeta
     # moves the residual by more than any fixed absolute residual bound
-    u = ones_weights(4)
+    u = np.ones(4)
     zeta = solve_zeta(alpha, u)
     assert abs(zeta / (alpha / (1 + alpha)) - 1) <= 1e-12
     assert abs(phi_second(zeta, u) / (alpha * (1 + alpha)) - 1) <= 1e-10
@@ -93,7 +92,7 @@ def test_solve_zeta_large_alpha(alpha):
 
 def test_path_value_derivatives():
     z = 0.4
-    ones = ones_weights(4)
+    ones = np.ones(4)
     assert path_value(z, ones, 1) == pytest.approx(1 / (1 - z) ** 2, rel=1e-15)
     assert path_value(z, ones, 2) == pytest.approx(2 / (1 - z) ** 3, rel=1e-15)
     u = np.array([1.0, 1.2, 0.8, 1.05])
@@ -218,8 +217,8 @@ def test_phi_second_rejects_overflowing_curvature():
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_phi_second_unit_weights(alpha):
-    zeta = solve_zeta(alpha, ones_weights(3))
-    assert abs(phi_second(zeta, ones_weights(3)) - alpha * (1 + alpha)) <= 1e-10
+    zeta = solve_zeta(alpha, np.ones(3))
+    assert abs(phi_second(zeta, np.ones(3)) - alpha * (1 + alpha)) <= 1e-10
 
 
 def test_phi_second_matches_finite_difference():
@@ -234,16 +233,16 @@ def test_phi_second_matches_finite_difference():
 
 
 def test_a_zero_values():
-    zeta = solve_zeta(1.0, ones_weights(3))
-    assert a_zero(zeta, ones_weights(3), "simple") == pytest.approx(
+    zeta = solve_zeta(1.0, np.ones(3))
+    assert a_zero(zeta, np.ones(3), "simple") == pytest.approx(
         math.exp(0.5 * math.log(2) - 0.25 - 0.0625), abs=1e-14
     )
-    assert a_zero(zeta, ones_weights(3), "multigraph") == pytest.approx(
+    assert a_zero(zeta, np.ones(3), "multigraph") == pytest.approx(
         math.sqrt(2), abs=1e-14
     )
     # alpha -> 0 pushes zeta -> 0 where the cycle series vanishes
-    tiny = solve_zeta(1e-6, ones_weights(3))
-    assert a_zero(tiny, ones_weights(3), "simple") == pytest.approx(1.0, abs=1e-5)
+    tiny = solve_zeta(1e-6, np.ones(3))
+    assert a_zero(tiny, np.ones(3), "simple") == pytest.approx(1.0, abs=1e-5)
 
 
 def test_phi_zero_at_origin_and_positive_real_part():
@@ -305,6 +304,34 @@ def test_contour_extract_default_points_converge_near_unit_zeta():
     p = GraphClassParams(2, 300, q=2)
     exact = float(graph_gf_value(p) / v_factor(2, 300))
     assert contour_extract(p) == pytest.approx(exact, rel=1e-8)
+
+
+def test_contour_extract_at_n1_zero_matches_exact():
+    # the radius is the saddle of z^{-n2} exp(Cyc): at the fixed radius 0.5
+    # both coefficients came out 0.0
+    p = GraphClassParams(0, 60, q=3)
+    exact = float(graph_gf_value(p) / v_factor(0, 60))
+    assert contour_extract(p) == pytest.approx(exact, rel=1e-9)
+    p = GraphClassParams(0, 200, q=2, model="multigraph")
+    u = [Fraction(37, 24), Fraction(11, 18)]
+    exact = float(graph_gf_value(p, u) / v_factor(0, 200))
+    assert exact == pytest.approx(0.04744, rel=1e-4)
+    assert contour_extract(p, [float(x) for x in u]) == pytest.approx(exact, rel=1e-9)
+    assert contour_extract(GraphClassParams(0, 3, q=3)) == pytest.approx(1 / 6, rel=1e-15)
+    for n2 in (1, 2):  # no simple graph: only cycles, and none is shorter than 3
+        assert contour_extract(GraphClassParams(0, n2, q=3)) == 0.0
+
+
+def test_contour_extract_at_n1_zero_matches_exact_on_random_instances():
+    rng = random.Random(20141)
+    for _ in range(200):
+        q = rng.randint(2, 6)
+        p = GraphClassParams(0, rng.randint(3, 600), q=q, model=rng.choice(("simple", "multigraph")))
+        u = [Fraction(rng.randint(1, 1600), 40) for _ in range(q)]  # in [1/40, 40]
+        exact = graph_gf_value(p, u) / v_factor(0, p.n2)
+        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
+        got = contour_extract(p, [float(x) for x in u])
+        assert abs(math.log(got) - log_exact) <= 1e-11, (p, u)
 
 
 def test_contour_extract_off_saddle_radius_agrees():
@@ -454,7 +481,7 @@ def test_limit_law_rejects_non_finite_or_non_positive_alpha(fn, alpha):
 @pytest.mark.parametrize("alpha", (float("inf"), float("nan")))
 def test_solve_zeta_rejects_non_finite_alpha(alpha):
     with pytest.raises(DomainError):
-        solve_zeta(alpha, ones_weights(3))
+        solve_zeta(alpha, np.ones(3))
 
 
 def test_hessian_symmetric_and_psd():
@@ -475,7 +502,7 @@ def test_log_path_partials_match_finite_differences():
     def f(z, u):
         return math.log(path_value(z, u))
 
-    ones = ones_weights(q)
+    ones = np.ones(q)
     fd_z = (f(zeta1 + h, ones) - f(zeta1 - h, ones)) / (2 * h)
     assert abs(fd_z - (1 + alpha)) <= 1e-6
     fd_zz = (f(zeta1 + h, ones) - 2 * f(zeta1, ones) + f(zeta1 - h, ones)) / (h * h)
@@ -566,7 +593,7 @@ def test_asymptotic_log_gf_guards():
 
 
 def test_saddle_data_invariants():
-    sd = saddle_data(1.0, ones_weights(4), "simple")
+    sd = saddle_data(1.0, np.ones(4), "simple")
     assert 0 < sd.zeta < 1 and sd.phi2 > 0 and sd.a0 > 0
     assert sd.path_at_zeta == pytest.approx(2.0, abs=1e-12)
 
@@ -587,7 +614,7 @@ def test_limit_law_json_shape():
 
 
 def test_cycle_value_matches_series_expansion():
-    # numeric closed form vs exact truncated series at a small radius
+    # log of the cycle factor vs exact truncated cycle series at a small radius
     from degseq.series import build_cycle_series
 
     u = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
@@ -597,5 +624,5 @@ def test_cycle_value_matches_series_expansion():
         truncated = sum(
             float(series.coeffs[k].evaluate(u)) * z**k for k in range(31)
         )
-        closed = cycle_value(z, np.array([1.0, 1.1, 0.9]), model)
+        closed = math.log(a_zero(z, np.array([1.0, 1.1, 0.9]), model))
         assert closed == pytest.approx(truncated, abs=1e-15)

@@ -98,17 +98,23 @@ def test_exact_writer_matches_indented_json(half_n1, n2, q, model):
     # the template writer against the encoder it replaces, on the payload the
     # command builds; includes n1 = 0 and q beyond the largest component
     from degseq import cli
-    from degseq.exact import census_json_text
+    from degseq.exact import census_json_text, census_to_json
 
     args = ["exact", "--n1", str(2 * half_n1), "--n2", str(n2), "--q", str(q), "--model", model]
     with mock.patch.object(cli, "census_json_text", wraps=census_json_text) as spy:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = main(args)
     if code == 2:  # an empty class, reported before any output
-        assert class_is_empty(2 * half_n1, n2, model) and not spy.called
+        assert class_is_empty(2 * half_n1, n2, model) and out.getvalue() == ""
         return
     assert code == 0
-    payload = spy.call_args.args[0]
+    census = spy.call_args.args[1]
+    payload = {
+        "params": {"n1": 2 * half_n1, "n2": n2, "q": q, "model": model},
+        **census_to_json(census),
+        "pmf": [{"counts": list(k), "num": p.numerator, "den": p.denominator}
+                for k, p in census.pmf().items()],
+    }
     assert out.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 

@@ -88,7 +88,7 @@ def test_census_tail_bucket():
     assert c.component_sizes_sum == 6
     assert sum((j + 1) * c.counts[j] for j in range(3)) + c.tail_count * 0 <= 6
     if c.tail_count:
-        assert c.total_components == sum(c.counts) + c.tail_count
+        assert c.path_components + c.cycle_components == sum(c.counts) + c.tail_count
 
 
 def test_census_rejects_bad_degrees():
@@ -301,7 +301,7 @@ def _two_pass_structure_ok(g):
     """The per-component rule validate_structure used to apply after the
     degree check: every component is a path (two degree-1 vertices,
     edges = vertices - 1) or a cycle (none, edges = vertices)."""
-    uf = UnionFind(g.n_vertices, g.edges)
+    uf = UnionFind(g.n1 + g.n2, g.edges)
     if uf.degree != [1] * g.n1 + [2] * g.n2:
         return False
     edge_count = Counter(_root(uf, a) for a, _ in g.edges)
@@ -375,7 +375,7 @@ def test_defect_counts_match_engine_rule(model):
 
 def _reference_census(g, q):
     """Census from scipy's connected_components, independent of UnionFind."""
-    n = g.n_vertices
+    n = g.n1 + g.n2
     lo, hi = np.array(g.edges).T
     adjacency = coo_matrix((np.ones(lo.size), (lo, hi)), shape=(n, n))
     _, labels = connected_components(adjacency, directed=False)
