@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -53,6 +54,10 @@ class GraphClassParams:
     model: str = "simple"
 
     def __post_init__(self):
+        # TypeError unless an integer; numpy integers are stored as Python
+        # ints, which the exact kernel's packed keys need (no wraparound)
+        for name in ("n1", "n2", "q"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("vertex counts must be nonnegative")
         if self.q < 2:

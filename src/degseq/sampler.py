@@ -2,11 +2,17 @@
 matching, rejection to simple graphs, component census, and a seeded,
 optionally parallel experiment harness that draws, rejects, labels and
 tallies a block of pairings per numpy call.
+
+The single-graph API is plain Python: sample_multigraph shuffles a Python
+list of stub owners with Generator.shuffle, which makes the same draws as
+Generator.permutation of the owner array, so it returns the graphs the
+block engine's rows hold, seed for seed.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,22 +73,32 @@ def _endpoints(pairing: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
-    """One uniform pairing of the stub multiset (Fisher-Yates shuffle, then
-    consecutive pairs); deterministic given the generator state."""
+def _check_counts(n1: int, n2: int) -> None:
+    if n1 < 0 or n2 < 0:
+        raise ValueError("vertex counts must be nonnegative")
     if n1 % 2:
         raise ValueError("n1 must be even (stub count must be even)")
+
+
+def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
+    """One uniform pairing of the stub multiset (Fisher-Yates shuffle of the
+    stub owners, then consecutive pairs); deterministic given the generator
+    state.  Shuffling the owner list makes the draws of
+    rng.permutation(_stub_owners(n1, n2)) and leaves rng in the same state."""
+    _check_counts(n1, n2)
     rng = np.random.default_rng(rng)
-    lo, hi = _endpoints(rng.permutation(_stub_owners(n1, n2)))
-    return StubMultigraph(n1, n2, tuple(zip(lo.tolist(), hi.tolist())))
+    # j >> 1 over 2*n1 .. 2*(n1+n2)-1 lists each degree-2 vertex twice, as _stub_owners does
+    owners = list(range(n1)) + [j >> 1 for j in range(2 * n1, 2 * (n1 + n2))]
+    rng.shuffle(owners)
+    ends = iter(owners)
+    return StubMultigraph(n1, n2, tuple((a, b) if a <= b else (b, a) for a, b in zip(ends, ends)))
 
 
 def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: redraw pairings until there
     is no loop and no double edge.  Raises SamplingError, before drawing,
     if no simple graph has this degree profile."""
-    if n1 % 2:
-        raise ValueError("n1 must be even (stub count must be even)")
+    _check_counts(n1, n2)
     if class_is_empty(n1, n2, "simple"):
         raise SamplingError("no simple graph has n1=%d, n2=%d" % (n1, n2))
     rng = np.random.default_rng(rng)
@@ -107,10 +123,13 @@ class ComponentCensus:
 
 
 def _labelled(g: StubMultigraph) -> UnionFind:
-    """Component labelling of g.  Raises StructuralError if the edge multiset
-    does not realize the declared degree profile (degree 1 on the first n1
-    vertices, 2 elsewhere)."""
+    """Component labelling of g.  Raises StructuralError if an endpoint lies
+    outside 0..n1+n2-1 or the edge multiset does not realize the declared
+    degree profile (degree 1 on the first n1 vertices, 2 elsewhere)."""
     n1, n = g.n1, g.n1 + g.n2
+    for a, b in g.edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise StructuralError("edge endpoint outside the vertex range")
     uf = UnionFind(n, g.edges)
     if uf.degree[:n1] != [1] * n1 or uf.degree[n1:] != [2] * (n - n1):
         raise StructuralError("edge endpoints do not match the degree profile")
@@ -122,7 +141,7 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
     does not realize the declared degree profile; once it does, every
     component is a path or a cycle and each path holds two of the n1
     degree-1 vertices, so there are n1/2 paths."""
-    if q < 2:
+    if operator.index(q) < 2:
         raise ValueError("q must be >= 2")
     sizes = _labelled(g).component_sizes()
     counts = census_exponents(sizes, q)
@@ -151,8 +170,8 @@ def compensation_factor(g: StubMultigraph) -> Fraction:
     """Pairing-mass weight 1/(2^{#loops} * prod_e mult(e)!); equals 1 exactly
     for simple graphs."""
     denom = 1 << g.loop_count
-    for mult in Counter(g.edges).values():
-        if mult > 1:
+    if g.double_edge_count:
+        for mult in Counter(g.edges).values():
             denom *= math.factorial(mult)
     return Fraction(1, denom)
 

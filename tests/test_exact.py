@@ -351,6 +351,24 @@ def test_params_validation():
         GraphClassParams.from_alpha(0.0, 10)
 
 
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [((2, 1), {"q": 2.5}), ((2.0, 1), {}), ((2, 1.5), {}), ((2, 1), {"q": "3"}), ((2, None), {})],
+)
+def test_params_reject_non_integers(args, kwargs):
+    with pytest.raises(TypeError):
+        GraphClassParams(*args, **kwargs)
+
+
+def test_params_accept_numpy_integers():
+    import numpy as np
+
+    p = GraphClassParams(np.int64(4), np.int32(4), q=np.int16(3))
+    assert p == GraphClassParams(4, 4, q=3)
+    assert all(type(v) is int for v in (p.n1, p.n2, p.q))
+    assert graph_gf(p).poly == graph_gf(GraphClassParams(4, 4, q=3)).poly
+
+
 @pytest.mark.parametrize("alpha", (float("inf"), float("nan"), -float("inf")))
 def test_params_from_alpha_rejects_non_finite(alpha):
     with pytest.raises(ValueError):
