@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": ("ConvergenceError", "DegseqError", "DomainError", "EmptyClassError",
                "SamplingError", "StructuralError"),
     "exact": ("CensusPolynomial", "GraphClassParams", "brute_force_multigraph",
-              "brute_force_simple", "census_from_json", "census_to_json", "class_is_empty",
+              "brute_force_simple", "census_to_json", "class_is_empty",
               "graph_gf", "graph_gf_value", "joint_pmf", "v_factor"),
     "asymptotics": ("LimitLaw", "SaddleData", "asymptotic_log_gf", "contour_extract",
                     "gradient_chi", "hessian_H", "limit_law", "phi_second", "saddle_data",

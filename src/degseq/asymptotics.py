@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +216,8 @@ def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
 
 def log_v_factor(n1: int, n2: int) -> float:
     """log of (n1+n2)!/(2^{n1/2} (n1/2)!) via log-gamma (overflow-safe)."""
+    if n1 < 0 or n2 < 0:
+        raise ValueError("vertex counts must be nonnegative")
     if n1 % 2:
         raise ValueError("n1 must be even")
     k = n1 // 2
@@ -322,7 +325,7 @@ def _ratios(alpha: float, q: int):
     """r = alpha/(1+alpha) and s = 1/(1+alpha), both in [0, 1], so powers of
     them neither overflow nor turn into inf/inf for any finite alpha > 0."""
     _check_alpha(alpha)
-    if q < 2:
+    if operator.index(q) < 2:  # TypeError for a float q, as in GraphClassParams
         raise ValueError("q must be >= 2")
     return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
@@ -413,9 +416,10 @@ def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:
     )
 
 
-def central_hessian(f, x, h: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference Hessian, the independent oracle for the
-    closed-form covariance."""
+def central_hessian(f, x) -> np.ndarray:
+    """Central finite-difference Hessian with step FD_STEP, the independent
+    oracle for the closed-form covariance."""
+    h = FD_STEP
     x = np.asarray(x, dtype=float)
     n = x.size
     out = np.empty((n, n))

@@ -174,17 +174,21 @@ def _cmd_asymptote(args) -> int:
 def _cmd_verify(args) -> int:
     from . import verify as verify_mod
 
+    known = [c[0] for c in verify_mod.CHECKS]
     if args.only:
         numbers = [int(x) for x in args.only.split(",")]
-    elif args.quick:
-        numbers = list(verify_mod.QUICK_CHECKS)
     else:
-        numbers = None
-    results = verify_mod.run_checks(numbers, emit=print)
+        numbers = verify_mod.QUICK_CHECKS if args.quick else known
+    unknown = [n for n in numbers if n not in known]
+    if unknown:
+        raise ValueError("no acceptance check numbered %s" % ", ".join(map(str, unknown)))
+    results = []
+    for number in numbers:  # each line is printed as soon as its check ends
+        results.append(verify_mod.run_check(number))
+        print(results[-1].line())
     if args.json_path:
         text = json.dumps([r.to_json() for r in results], indent=2, allow_nan=False)
-        with open(args.json_path, "w") as fh:
-            fh.write(text + "\n")
+        _write_text(text + "\n", args.json_path)
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -111,6 +111,8 @@ class CensusPolynomial:
 def v_factor(n1: int, n2: int) -> Fraction:
     """Relabelling prefactor (n1+n2)! / (2^{n1/2} (n1/2)!) turning the
     size-indexed series coefficient into a labelled count."""
+    if n1 < 0 or n2 < 0:
+        raise ValueError("vertex counts must be nonnegative")
     if n1 % 2:
         raise ValueError("n1 must be even")
     return Fraction(math.factorial(n1 + n2), (1 << (n1 // 2)) * math.factorial(n1 // 2))
@@ -219,6 +221,8 @@ def class_is_empty(n1: int, n2: int, model: str) -> bool:
     degree-2 vertices into one path.
     """
     check_model(model)
+    if n1 < 0 or n2 < 0:
+        raise ValueError("vertex counts must be nonnegative")
     if n1 % 2:
         return True
     if model == "simple" and n1 == 0 and n2 in (1, 2):
@@ -389,14 +393,3 @@ def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
     return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (
         json.dumps(head, indent=2)[:-2], *lists)  # head without its closing "\n}"
 
-
-def census_from_json(obj: dict) -> CensusPolynomial:
-    q = obj["q"]
-    terms = {
-        tuple(t["exponents"]): Fraction(t["num"], t["den"]) for t in obj["polynomial"]
-    }
-    poly = MPoly(q, terms)
-    total = Fraction(obj["total"]["num"], obj["total"]["den"])
-    if total != poly.coefficient_sum():
-        raise ValueError("total does not match polynomial mass")
-    return CensusPolynomial(poly, total)

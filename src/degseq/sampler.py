@@ -119,7 +119,6 @@ class ComponentCensus:
     tail_count: int
     component_sizes_sum: int
     path_components: int
-    cycle_components: int
 
 
 def _labelled(g: StubMultigraph) -> UnionFind:
@@ -145,13 +144,11 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
         raise ValueError("q must be >= 2")
     sizes = _labelled(g).component_sizes()
     counts = census_exponents(sizes, q)
-    n_paths = g.n1 // 2
     return ComponentCensus(
         counts=counts,
         tail_count=len(sizes) - sum(counts),
         component_sizes_sum=sum(sizes),
-        path_components=n_paths,
-        cycle_components=len(sizes) - n_paths,
+        path_components=g.n1 // 2,
     )
 
 

@@ -16,6 +16,8 @@ from .asymptotics import LimitLaw
 POISSON_BUCKETS = (0, 1, 2)
 # chi_square_gof pools cells expected to hold fewer samples than this
 MIN_EXPECTED = 5.0
+POISSON_SIGNIFICANCE = 0.001  # poisson_check's chi-square level
+PSD_TOL = 1e-9  # psd_check's allowance below zero for the least eigenvalue
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,9 @@ def standardize(counts: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:
 
 def moment_report(v: np.ndarray, n1: int, n2: int) -> MomentReport:
     v = np.asarray(v, dtype=float)
-    n = v.shape[0]
+    n = len(v)
+    if n < 2:
+        raise ValueError("need at least 2 samples for the moments")
     mean = v.mean(axis=0)
     cov = np.atleast_2d(np.cov(v, rowvar=False, ddof=1))
     se = v.std(axis=0, ddof=1) / math.sqrt(n)
@@ -104,17 +108,21 @@ def poisson_pmf(k: int, lam: float) -> float:
     return math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
 
 
-def poisson_check(u1_samples, lam: float, significance: float = 0.001) -> Verdict:
-    """Chi-square goodness of fit (chi_square_gof) of loop counts against
-    Poisson(lam) over the POISSON_BUCKETS cells and a tail cell, plus
-    4-standard-error checks on mean and variance."""
+def poisson_check(u1_samples, lam: float) -> Verdict:
+    """Chi-square goodness of fit (chi_square_gof, at POISSON_SIGNIFICANCE)
+    of loop counts against Poisson(lam) over the POISSON_BUCKETS cells and a
+    tail cell, plus 4-standard-error checks on mean and variance."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lam must be positive and finite")
     x = np.asarray(u1_samples, dtype=float)
     n = x.size
+    if n < 2:
+        raise ValueError("need at least 2 samples for the Poisson check")
     observed = {k: int(np.count_nonzero(x == k)) for k in POISSON_BUCKETS}
     observed["tail"] = n - sum(observed.values())
     probs = {k: poisson_pmf(k, lam) for k in POISSON_BUCKETS}
     probs["tail"] = 1.0 - sum(probs.values())
-    fit = chi_square_gof(observed, probs, n, significance)
+    fit = chi_square_gof(observed, probs, n, POISSON_SIGNIFICANCE)
 
     mean = float(x.mean())
     var = float(x.var(ddof=1))
@@ -187,12 +195,12 @@ def chi_square_gof(
     )
 
 
-def psd_check(matrix: np.ndarray, tol: float = 1e-9) -> Verdict:
-    """Pass iff the symmetric matrix has minimum eigenvalue >= -tol."""
+def psd_check(matrix: np.ndarray) -> Verdict:
+    """Pass iff the symmetric matrix has minimum eigenvalue >= -PSD_TOL."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix must be symmetric")
     min_eig = float(np.linalg.eigvalsh(m).min())
-    return Verdict(min_eig >= -tol, "psd", {"min_eigenvalue": min_eig, "tol": tol})
+    return Verdict(min_eig >= -PSD_TOL, "psd", {"min_eigenvalue": min_eig, "tol": PSD_TOL})

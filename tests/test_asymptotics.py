@@ -478,6 +478,24 @@ def test_limit_law_rejects_non_finite_or_non_positive_alpha(fn, alpha):
         fn(alpha, 4)
 
 
+@pytest.mark.parametrize("q", (3.0, 2.5))
+@pytest.mark.parametrize("fn", (gradient_chi, hessian_H, limit_law))
+def test_limit_law_rejects_non_integer_q(fn, q):
+    with pytest.raises(TypeError):
+        fn(1.0, q)
+
+
+@pytest.mark.parametrize("fn", (gradient_chi, hessian_H))
+def test_limit_law_accepts_numpy_integer_q(fn):
+    assert np.array_equal(fn(1.0, np.int64(4)), fn(1.0, 4))
+
+
+@pytest.mark.parametrize("n1, n2", ((-2, 3), (2, -3)))
+def test_log_v_factor_rejects_negative_counts(n1, n2):
+    with pytest.raises(ValueError, match="vertex counts must be nonnegative"):
+        log_v_factor(n1, n2)
+
+
 @pytest.mark.parametrize("alpha", (float("inf"), float("nan")))
 def test_solve_zeta_rejects_non_finite_alpha(alpha):
     with pytest.raises(DomainError):

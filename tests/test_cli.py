@@ -491,10 +491,26 @@ def test_verify_only_single_check(capsys):
 
 
 def test_verify_tampered_hessian_fails(capsys, monkeypatch):
-    monkeypatch.setenv("DEGSEQ_TAMPER_H", "2.0")
+    # negative control: a covariance closed form off by a factor of 2 fails check 4
+    from degseq import verify
+
+    real = verify.hessian_H
+    monkeypatch.setattr(verify, "hessian_H", lambda alpha, q: 2.0 * real(alpha, q))
     code, out, _ = run_cli(["verify", "--only", "4"], capsys)
     assert code == 1
-    assert "FAIL" in out
+    assert out.startswith("FAIL   4  hessian-identity")
+
+
+def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
+    from degseq import verify
+
+    def run_check(number):
+        raise AssertionError("check %d ran" % number)
+
+    monkeypatch.setattr(verify, "run_check", run_check)
+    code, out, err = run_cli(["verify", "--only", "3,99,0"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: no acceptance check numbered 99, 0\n"
 
 
 def test_verify_structural_check_fails_on_forged_graph(tmp_path, capsys, monkeypatch):

@@ -45,7 +45,7 @@ EXPORTED = [
     "MomentReport", "SaddleData", "SamplingError", "StructuralError", "StubMultigraph",
     "TruncatedSeries", "Verdict", "asymptotic_log_gf", "asymptotics", "brute_force_multigraph",
     "brute_force_simple", "build_cycle_series", "build_path_series", "census",
-    "census_from_json", "census_to_json", "chi_square_gof", "class_is_empty",
+    "census_to_json", "chi_square_gof", "class_is_empty",
     "compensation_factor", "contour_extract", "errors", "exact", "gaussian_check",
     "gradient_chi", "graph_gf", "graph_gf_value", "hessian_H", "joint_pmf", "limit_law",
     "moment_report", "phi_second", "poisson_check", "psd_check", "run_experiment",

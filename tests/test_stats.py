@@ -151,8 +151,27 @@ def test_chi_square_gof_p_value_is_scipy_chi2_sf():
             assert details["p_value"] == float(chi2.sf(details["chi2_stat"], dof))
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.25, float("inf"), float("nan")])
+def test_poisson_check_rejects_bad_rate(lam):
+    with pytest.raises(ValueError, match="lam must be positive and finite"):
+        poisson_check([0, 1, 0], lam)
+
+
+@pytest.mark.parametrize("samples", [[], [1]])
+def test_poisson_check_rejects_fewer_than_two_samples(samples):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        poisson_check(samples, 0.25)
+
+
+@pytest.mark.parametrize("rows", [0, 1])
+def test_moment_report_rejects_fewer_than_two_rows(rows):
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        moment_report(np.zeros((rows, 3)), 8, 4)
+
+
 def test_psd_check():
     assert psd_check(np.eye(3)).passed
+    assert psd_check(np.eye(3)).details["tol"] == 1e-9
     assert not psd_check(np.diag([1.0, -1.0])).passed
     with pytest.raises(ValueError):
         psd_check(np.array([[1.0, 2.0], [0.0, 1.0]]))
