@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .series import check_model
+from .exact import check_counts
+from .series import check_model, check_q
 
 FD_STEP = 1e-5
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finite
@@ -29,7 +29,9 @@ BRENT_MAXITER = 100
 MAX_POINTS = 1 << 24  # contour points; peak memory ~48 B/point (measured at 2^20-2^22), ~0.8 GB
 
 
-def _as_weights(u, q=None):
+def _as_weights(u, q=None) -> list:
+    """The checked weights as Python floats: the scalar evaluators run ~2x
+    faster on them, and they overflow to inf without numpy's warnings."""
     w = np.asarray(u, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise ValueError("weight vector must be 1-d with length >= 2")
@@ -37,7 +39,7 @@ def _as_weights(u, q=None):
         raise ValueError("expected %d weights, got %d" % (q, w.size))
     if not np.all((w > 0) & (w < math.inf)):
         raise DomainError("weights must be positive and finite")
-    return w
+    return w.tolist()
 
 
 def _check_alpha(alpha: float) -> None:
@@ -59,12 +61,11 @@ def path_value(z, u, k: int = 0):
 
 def _cycle_polynomial(z, u, model: str, acc=0.0):
     """acc plus the cycle-component series less its log(1/(1-z))/2, in a_zero's
-    order; loops (size 1) and double edges (size 2) appear only in the
-    multigraph model."""
-    check_model(model)
-    first = 1 if model == "multigraph" else 3
-    if model == "simple":
-        acc = acc - z / 2.0 - z**2 / 4.0
+    order: the sizes below the model's smallest cycle are taken out of the
+    log."""
+    first = check_model(model)
+    for j in range(1, first):
+        acc = acc - z**j / (2.0 * j)
     for j in range(first, len(u) + 1):
         w = u[j - 1] - 1.0
         if w:
@@ -95,17 +96,17 @@ def solve_zeta(alpha: float, u) -> float:
     past it.
     """
     _check_alpha(alpha)
-    w = _as_weights(u).tolist()  # Python floats: the scalar evaluator runs ~2x faster on them
+    w = _as_weights(u)
     return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, 1e-13, 1.0 - 1e-13)
 
 
-def _cycle_saddle(n2: int, u: np.ndarray, model: str) -> float:
+def _cycle_saddle(n2: int, u: list, model: str) -> float:
     """Saddle radius of z^{-n2} exp(Cyc(z,u)), the root in (0,1) of
     z Cyc'(z) = z^first/(2(1-z)) + sum_{j>=first} (u_j - 1) z^j/2 = n2, where
-    first is the smallest cycle size (1 multigraph, 3 simple).  Cyc has
-    nonnegative coefficients, so z Cyc' rises from 0 to infinity on (0,1)."""
-    first = 1 if model == "multigraph" else 3
-    w = [(j, x - 1.0) for j, x in enumerate(u.tolist(), 1) if j >= first and x != 1.0]
+    first is the model's smallest cycle size.  Cyc has nonnegative
+    coefficients, so z Cyc' rises from 0 to infinity on (0,1)."""
+    first = check_model(model)
+    w = [(j, x - 1.0) for j, x in enumerate(u, 1) if j >= first and x != 1.0]
 
     def excess(z):
         return z**first / (2.0 * (1.0 - z)) + sum(c * z**j for j, c in w) / 2.0 - n2
@@ -171,7 +172,9 @@ def phi_second(zeta: float, u) -> float:
     """Second theta-derivative at 0 of the phase on the contour of radius
     zeta: z g'(z) + z^2 g''(z) with g = log Path; equals alpha(1+alpha) at
     u = 1."""
-    u = _as_weights(u).tolist()  # Python floats overflow to inf without numpy's warnings
+    if not 0 < zeta < 1:
+        raise DomainError("zeta must lie in (0,1)")
+    u = _as_weights(u)
     p = path_value(zeta, u)
     g1 = path_value(zeta, u, 1) / p
     g2 = path_value(zeta, u, 2) / p - g1 * g1
@@ -210,16 +213,13 @@ def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
         zeta=zeta,
         phi2=phi_second(zeta, u),
         a0=a_zero(zeta, u, model),
-        path_at_zeta=float(path_value(zeta, u)),
+        path_at_zeta=path_value(zeta, u),
     )
 
 
 def log_v_factor(n1: int, n2: int) -> float:
     """log of (n1+n2)!/(2^{n1/2} (n1/2)!) via log-gamma (overflow-safe)."""
-    if n1 < 0 or n2 < 0:
-        raise ValueError("vertex counts must be nonnegative")
-    if n1 % 2:
-        raise ValueError("n1 must be even")
+    check_counts(n1, n2)
     k = n1 // 2
     return math.lgamma(n1 + n2 + 1) - k * math.log(2.0) - math.lgamma(k + 1)
 
@@ -242,7 +242,7 @@ def _laplace_weights(params, u):
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
         raise DomainError("n2 = 0 gives alpha = 0: there is no saddle point")
-    return np.ones(params.q) if u is None else _as_weights(u, params.q)
+    return [1.0] * params.q if u is None else _as_weights(u, params.q)
 
 
 def _laplace_log_gf(params, sd: SaddleData) -> float:
@@ -289,7 +289,7 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
     if params.n1 % 2:
         raise DomainError("n1 must be even")
-    u = np.ones(params.q) if u is None else _as_weights(u, params.q)
+    u = [1.0] * params.q if u is None else _as_weights(u, params.q)
     if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
         return params.n1 // 2 * math.log(u[1])
     if zeta is None:
@@ -304,7 +304,7 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
         raise ValueError("need at least 64 quadrature points")
     if points > MAX_POINTS:
         raise DomainError("%d quadrature points exceed the limit of %d" % (points, MAX_POINTS))
-    path_zeta = float(path_value(zeta, u))
+    path_zeta = path_value(zeta, u)
     # cache only tables of <= 64 KB: a large count is rare and would pin its memory
     roots = (_roots_of_unity if points <= 4096 else _roots_of_unity.__wrapped__)(points)
     w = zeta * roots[: points // 2 + 1]
@@ -325,8 +325,7 @@ def _ratios(alpha: float, q: int):
     """r = alpha/(1+alpha) and s = 1/(1+alpha), both in [0, 1], so powers of
     them neither overflow nor turn into inf/inf for any finite alpha > 0."""
     _check_alpha(alpha)
-    if operator.index(q) < 2:  # TypeError for a float q, as in GraphClassParams
-        raise ValueError("q must be >= 2")
+    check_q(q)
     return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
 
@@ -408,7 +407,7 @@ def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:
     lam = alpha / (2.0 * (1.0 + alpha)) if model == "multigraph" else None
     return LimitLaw(
         alpha=float(alpha),
-        q=q,
+        q=check_q(q),
         model=model,
         mean_coeffs=mean_coeffs,
         hessian=hessian_H(alpha, q),

@@ -23,6 +23,7 @@ from .series import (
     build_cycle_series,
     build_path_series,
     check_model,
+    check_q,
     product_coefficient,
 )
 from .unionfind import UnionFind
@@ -60,8 +61,7 @@ class GraphClassParams:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n1 < 0 or self.n2 < 0:
             raise ValueError("vertex counts must be nonnegative")
-        if self.q < 2:
-            raise ValueError("q must be >= 2")
+        check_q(self.q)
         check_model(self.model)
 
     @classmethod
@@ -108,13 +108,18 @@ class CensusPolynomial:
         return {exps: coeff / self.total for exps, coeff in sorted(self.poly.terms.items())}
 
 
-def v_factor(n1: int, n2: int) -> Fraction:
-    """Relabelling prefactor (n1+n2)! / (2^{n1/2} (n1/2)!) turning the
-    size-indexed series coefficient into a labelled count."""
+def check_counts(n1: int, n2: int) -> None:
+    """ValueError unless n1, n2 >= 0 and n1 is even (each path has two ends)."""
     if n1 < 0 or n2 < 0:
         raise ValueError("vertex counts must be nonnegative")
     if n1 % 2:
         raise ValueError("n1 must be even")
+
+
+def v_factor(n1: int, n2: int) -> Fraction:
+    """Relabelling prefactor (n1+n2)! / (2^{n1/2} (n1/2)!) turning the
+    size-indexed series coefficient into a labelled count."""
+    check_counts(n1, n2)
     return Fraction(math.factorial(n1 + n2), (1 << (n1 // 2)) * math.factorial(n1 // 2))
 
 
@@ -177,7 +182,7 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     if target < 0:
         return Fraction(0)
     n = n[v:] + [Fraction(0)]
-    first = 3 if params.model == "simple" else 1
+    first = check_model(params.model)
     # [z^i] 2 Cyc' = u_{i+1} for cycle sizes i + 1 >= first
     c = _times_one_minus_z([Fraction(0)] * (first - 1) + w[first - 1 :])
     r = [Fraction(0)] * (len(n) + len(c))
@@ -215,19 +220,15 @@ def class_is_empty(n1: int, n2: int, model: str) -> bool:
     """Closed-form emptiness test.
 
     Paths pair up degree-1 vertices, so odd n1 is always empty.  With n1 = 0
-    everything must sit in cycles: simple cycles need >= 3 vertices, hence
-    (0,1) and (0,2) are empty for simple graphs, while multigraphs cover them
-    with a loop / double edge.  Any even n1 >= 2 is realizable by stuffing all
-    degree-2 vertices into one path.
+    everything must sit in cycles, so 0 < n2 below the model's smallest cycle
+    size is empty: (0,1) and (0,2) for simple graphs, none for multigraphs.
+    Any even n1 >= 2 is realizable by stuffing all degree-2 vertices into one
+    path.
     """
-    check_model(model)
+    first = check_model(model)
     if n1 < 0 or n2 < 0:
         raise ValueError("vertex counts must be nonnegative")
-    if n1 % 2:
-        return True
-    if model == "simple" and n1 == 0 and n2 in (1, 2):
-        return True
-    return False
+    return n1 % 2 == 1 or (n1 == 0 and 0 < n2 < first)
 
 
 def census_exponents(sizes, q: int) -> tuple:
@@ -290,12 +291,17 @@ def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
     n1, n2, q = params.n1, params.n2, params.q
     if n1 + n2 > SIMPLE_ENUM_LIMIT:
         raise ValueError("enumeration bound n1+n2 <= %d exceeded" % SIMPLE_ENUM_LIMIT)
-    n = n1 + n2
+    return _tally(_degree12_graphs(n1, n2), n1 + n2, q, Fraction(1))
+
+
+def _tally(edge_lists, n: int, q: int, weight: Fraction) -> CensusPolynomial:
+    """Census polynomial of graphs on vertices 0..n-1, given by their edge
+    lists, each contributing ``weight`` to its census monomial."""
     counts = {}
-    for edges in _degree12_graphs(n1, n2):
+    for edges in edge_lists:
         key = census_exponents(UnionFind(n, edges).component_sizes(), q)
         counts[key] = counts.get(key, 0) + 1
-    poly = MPoly(q, {k: Fraction(v) for k, v in counts.items()})
+    poly = MPoly(q, {k: weight * v for k, v in counts.items()})
     return CensusPolynomial(poly, poly.coefficient_sum())
 
 
@@ -345,13 +351,7 @@ def brute_force_multigraph(params: GraphClassParams) -> CensusPolynomial:
         raise ValueError("enumeration bound m <= %d exceeded" % MATCHING_ENUM_LIMIT)
     n = n1 + n2
     owners = list(range(n1)) + [v for v in range(n1, n1 + n2) for _ in range(2)]
-    weight = Fraction(math.comb(n, n1), 1 << n2)
-    masses = {}
-    for pairs in _stub_pairings(owners):
-        key = census_exponents(UnionFind(n, pairs).component_sizes(), q)
-        masses[key] = masses.get(key, 0) + 1
-    poly = MPoly(q, {k: weight * v for k, v in masses.items()})
-    return CensusPolynomial(poly, poly.coefficient_sum())
+    return _tally(_stub_pairings(owners), n, q, Fraction(math.comb(n, n1), 1 << n2))
 
 
 def census_to_json(census: CensusPolynomial) -> dict:

@@ -12,7 +12,6 @@ block engine's rows hold, seed for seed.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import SamplingError, StructuralError
-from .exact import GraphClassParams, census_exponents, class_is_empty
+from .exact import GraphClassParams, census_exponents, check_counts, class_is_empty
+from .series import check_q
 from .unionfind import UnionFind
 
 # replications per seeded chunk of run_experiment
@@ -73,19 +73,12 @@ def _endpoints(pairing: np.ndarray):
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _check_counts(n1: int, n2: int) -> None:
-    if n1 < 0 or n2 < 0:
-        raise ValueError("vertex counts must be nonnegative")
-    if n1 % 2:
-        raise ValueError("n1 must be even (stub count must be even)")
-
-
 def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     """One uniform pairing of the stub multiset (Fisher-Yates shuffle of the
     stub owners, then consecutive pairs); deterministic given the generator
     state.  Shuffling the owner list makes the draws of
     rng.permutation(_stub_owners(n1, n2)) and leaves rng in the same state."""
-    _check_counts(n1, n2)
+    check_counts(n1, n2)
     rng = np.random.default_rng(rng)
     # j >> 1 over 2*n1 .. 2*(n1+n2)-1 lists each degree-2 vertex twice, as _stub_owners does
     owners = list(range(n1)) + [j >> 1 for j in range(2 * n1, 2 * (n1 + n2))]
@@ -98,7 +91,7 @@ def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: redraw pairings until there
     is no loop and no double edge.  Raises SamplingError, before drawing,
     if no simple graph has this degree profile."""
-    _check_counts(n1, n2)
+    check_counts(n1, n2)
     if class_is_empty(n1, n2, "simple"):
         raise SamplingError("no simple graph has n1=%d, n2=%d" % (n1, n2))
     rng = np.random.default_rng(rng)
@@ -140,8 +133,7 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
     does not realize the declared degree profile; once it does, every
     component is a path or a cycle and each path holds two of the n1
     degree-1 vertices, so there are n1/2 paths."""
-    if operator.index(q) < 2:
-        raise ValueError("q must be >= 2")
+    q = check_q(q)
     sizes = _labelled(g).component_sizes()
     counts = census_exponents(sizes, q)
     return ComponentCensus(
@@ -184,8 +176,7 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
 
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q = check_q(q)
     n = n1 + n2
     rows = lo.shape[0]
     if lo.size and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= n):

@@ -24,10 +24,13 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from operator import sub
 
-MODELS = ("simple", "multigraph")
+# The one fact that tells the models apart: simple graphs have cycles of size
+# >= 3 only, multigraphs also loops (size 1) and double edges (size 2).
+SMALLEST_CYCLE = {"simple": 3, "multigraph": 1}
+MODELS = tuple(SMALLEST_CYCLE)
 
 
 def as_fraction(value) -> Fraction:
@@ -42,10 +45,19 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def check_model(model: str) -> str:
+def check_model(model: str) -> int:
+    """The model's smallest cycle size; ValueError for an unknown model."""
     if model not in MODELS:
         raise ValueError("model must be one of %s, got %r" % (MODELS, model))
-    return model
+    return SMALLEST_CYCLE[model]
+
+
+def check_q(q) -> int:
+    """q as a Python int (TypeError unless an integer); ValueError below 2."""
+    q = operator.index(q)
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    return q
 
 
 class MPoly:
@@ -338,7 +350,7 @@ def _power_numerators(series: TruncatedSeries, exponent: int, base):
         raise ValueError("the constant coefficient must be a single nonzero term")
     ((lead, c0),) = series.coeffs[0].terms.items()
     alpha = [
-        {tuple(map(sub, e, lead)): c / c0 for e, c in a.terms.items()} for a in series.coeffs
+        {tuple(map(operator.sub, e, lead)): c / c0 for e, c in a.terms.items()} for a in series.coeffs
     ]
     scale, ints = _numerators(alpha, base)
     shift = tuple(e * exponent for e in lead)
@@ -375,8 +387,7 @@ def build_path_series(q: int, order: int) -> TruncatedSeries:
     A path with k interior vertices is a component of size k+2, so the z^k
     coefficient is u_{k+2} for k <= q-2 and 1 beyond (unmarked sizes).
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
+    q = check_q(q)
     coeffs = []
     for k in range(order + 1):
         size = k + 2
@@ -385,18 +396,13 @@ def build_path_series(q: int, order: int) -> TruncatedSeries:
 
 
 def build_cycle_series(q: int, order: int, model: str = "simple") -> TruncatedSeries:
-    """Series of cycle components, z marking the (degree-2) vertices.
-
-    Simple graphs have cycles of size >= 3 only: the z^j coefficient is
-    u_j/(2j) for 3 <= j <= q and 1/(2j) beyond, with the j=1,2 terms removed.
-    Multigraphs additionally admit loops (size 1) and double edges (size 2)
-    carrying their pairing masses, so every j >= 1 contributes and marking
-    starts at j=1.
+    """Series of cycle components, z marking the (degree-2) vertices: the z^j
+    coefficient is u_j/(2j) for j <= q and 1/(2j) beyond, from the model's
+    smallest cycle size on, and 0 below it.  In the multigraph model loops
+    (size 1) and double edges (size 2) carry their pairing masses.
     """
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    check_model(model)
-    first = 3 if model == "simple" else 1
+    q = check_q(q)
+    first = check_model(model)
     coeffs = [MPoly.zero(q)]
     for j in range(1, order + 1):
         if j < first:

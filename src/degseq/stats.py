@@ -85,9 +85,12 @@ def gaussian_check(
 ) -> Verdict:
     """Pass iff every standardized mean sits within tol_mean_se standard
     errors of 0 and every covariance entry within tol_cov_abs of the limit
-    (absolute comparison: the limit covariance passes through 0)."""
+    (absolute comparison: the limit covariance passes through 0).  Raises
+    ValueError for a zero standard error (a constant column)."""
     if report.n_samples < 1000:
         raise ValueError("need at least 1000 samples for the moment check")
+    if not np.all(report.standard_errors > 0):
+        raise ValueError("zero standard error: a standardized column is constant")
     mean_dev = np.abs(report.empirical_mean) / report.standard_errors
     cov_dev = np.abs(report.empirical_cov - law.hessian)
     passed = bool(np.all(mean_dev <= tol_mean_se) and np.all(cov_dev <= tol_cov_abs))
@@ -118,6 +121,8 @@ def poisson_check(u1_samples, lam: float) -> Verdict:
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 samples for the Poisson check")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("loop counts must be finite")
     observed = {k: int(np.count_nonzero(x == k)) for k in POISSON_BUCKETS}
     observed["tail"] = n - sum(observed.values())
     probs = {k: poisson_pmf(k, lam) for k in POISSON_BUCKETS}

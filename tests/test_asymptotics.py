@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 import random
 import warnings
@@ -213,6 +214,12 @@ def test_phi_second_rejects_overflowing_curvature():
         with pytest.raises(DomainError, match="finite"):
             phi_second(0.5, [1.0, 1.0, 1.0, 1e308])
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("zeta", (0.0, 1.0, -0.5, 1.5))
+def test_phi_second_rejects_zeta_outside_unit_interval(zeta):
+    with pytest.raises(DomainError, match=r"zeta must lie in \(0,1\)"):
+        phi_second(zeta, [1.0, 1.0, 1.0])
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -488,6 +495,14 @@ def test_limit_law_rejects_non_integer_q(fn, q):
 @pytest.mark.parametrize("fn", (gradient_chi, hessian_H))
 def test_limit_law_accepts_numpy_integer_q(fn):
     assert np.array_equal(fn(1.0, np.int64(4)), fn(1.0, 4))
+
+
+def test_limit_law_stores_q_as_python_int():
+    law = limit_law(1.0, np.int64(3))
+    assert type(law.q) is int
+    assert json.loads(json.dumps(law.to_json()))["q"] == 3
+    with pytest.raises(DomainError):  # a bad alpha is still reported first
+        limit_law(-1.0, 2.5)
 
 
 @pytest.mark.parametrize("n1, n2", ((-2, 3), (2, -3)))

@@ -402,22 +402,34 @@ def test_asymptote_large_alpha_solves(capsys):
 
 def test_asymptote_readme_example_matches_pinned_digest(capsys):
     # pinned while the command solved the saddle once per output; sharing one
-    # SaddleData between the outputs must not move a byte.  The quadrature
-    # sums in its own order, so its last digits are checked against the exact
-    # coefficient instead of pinned.
+    # SaddleData between the outputs must not move a byte.  The multigraph
+    # digests were pinned before the cycle polynomial read its smallest cycle
+    # size from series.SMALLEST_CYCLE.  The quadrature sums in its own order,
+    # so its last digits are checked against the exact coefficient instead of
+    # pinned.
     from degseq.exact import GraphClassParams, graph_gf_value, v_factor
 
-    code, out, _ = run_cli(
-        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"], capsys
-    )
-    assert code == 0
-    pinned = "".join(line for line in out.splitlines(True) if '"coefficient_estimate"' not in line)
-    assert hashlib.sha256(pinned.encode()).hexdigest() == (
-        "094732626e184f38d14caafa174f41c8578536d485e21d3c8e700029b118f3ad"
-    )
-    u = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
-    exact = float(graph_gf_value(GraphClassParams(20, 10, q=3), u) / v_factor(20, 10))
-    assert json.loads(out)["coefficient_estimate"] == pytest.approx(exact, rel=1e-13, abs=0)
+    cases = [
+        (["--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"],
+         GraphClassParams(20, 10, q=3), ["1", "11/10", "9/10"],
+         "094732626e184f38d14caafa174f41c8578536d485e21d3c8e700029b118f3ad"),
+        (["--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9", "--model", "multigraph"],
+         GraphClassParams(20, 10, q=3, model="multigraph"), ["1", "11/10", "9/10"],
+         "ce13af8aaaa6c7bc9b35da741a939cf11b4b2a24342b8f4d574bb190d6606267"),
+        (["--n1", "40", "--n2", "30", "--q", "4", "--u", "1.2,0.8,1.3", "--u1", "1.5",
+          "--model", "multigraph"],
+         GraphClassParams(40, 30, q=4, model="multigraph"), ["3/2", "6/5", "4/5", "13/10"],
+         "6838fc8a306d9af148b017b1d4fac85e516fd118b2798296ab472c05e3cb72dc"),
+    ]
+    for args, params, u, digest in cases:
+        code, out, _ = run_cli(["asymptote"] + args, capsys)
+        assert code == 0
+        lines = out.splitlines(True)
+        pinned = "".join(line for line in lines if '"coefficient_estimate"' not in line)
+        assert hashlib.sha256(pinned.encode()).hexdigest() == digest, args
+        u = [Fraction(x) for x in u]
+        exact = float(graph_gf_value(params, u) / v_factor(params.n1, params.n2))
+        assert json.loads(out)["coefficient_estimate"] == pytest.approx(exact, rel=1e-13, abs=0)
 
 
 def test_asymptote_solves_the_saddle_once(capsys, monkeypatch):

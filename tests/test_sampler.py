@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import connected_components
 
 from degseq.errors import SamplingError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
+from degseq.series import build_cycle_series
 from degseq import sampler
 from degseq.sampler import (
     CHUNK_REPS,
@@ -107,6 +108,21 @@ def test_census_rejects_non_integer_q():
     with pytest.raises(TypeError):
         census(g, 2.5)
     assert census(g, np.int64(2)) == census(g, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: census_rows(2, 0, 2.5, np.array([[0]]), np.array([[1]])),
+        lambda: build_cycle_series(2.5, 3),
+        lambda: census(StubMultigraph(n1=2, n2=0, edges=((0, 1),)), 2.5),
+    ),
+    ids=("census_rows", "build_cycle_series", "census"),
+)
+def test_float_q_raises_type_error(call):
+    # series.check_q reads q through operator.index in every pipeline
+    with pytest.raises(TypeError, match="integer"):
+        call()
 
 
 def test_census_rejects_bad_degrees():

@@ -87,6 +87,15 @@ def test_gaussian_check_needs_samples():
         gaussian_check(report, LAW1)
 
 
+def test_gaussian_check_rejects_a_constant_column():
+    # a zero standard error would divide 0 by 0 into a NaN deviation
+    rng = np.random.default_rng(45)
+    v = np.column_stack((rng.standard_normal(1000), np.zeros(1000)))
+    report = moment_report(v, n1=2000, n2=1000)
+    with pytest.raises(ValueError, match="zero standard error"):
+        gaussian_check(report, limit_law(1.0, 3))
+
+
 def test_poisson_check_accepts_matching_rate():
     rng = np.random.default_rng(7)
     draws = rng.poisson(0.25, size=100000)
@@ -155,6 +164,12 @@ def test_chi_square_gof_p_value_is_scipy_chi2_sf():
 def test_poisson_check_rejects_bad_rate(lam):
     with pytest.raises(ValueError, match="lam must be positive and finite"):
         poisson_check([0, 1, 0], lam)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_poisson_check_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="loop counts must be finite"):
+        poisson_check([0, 1, bad], 0.25)
 
 
 @pytest.mark.parametrize("samples", [[], [1]])
