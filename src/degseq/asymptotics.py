@@ -236,8 +236,7 @@ def asymptotic_log_gf(params, u=None) -> float:
 
 def _laplace_weights(params, u):
     """The Laplace estimate's checks: even n1 >= 2 and q weights (default 1)."""
-    if params.n1 % 2:
-        raise DomainError("n1 must be even")
+    check_counts(params.n1, params.n2)
     if params.n1 < 2:
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
@@ -287,8 +286,7 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
     """log of contour_extract's value from the normalised integrand
     exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
-    if params.n1 % 2:
-        raise DomainError("n1 must be even")
+    check_counts(params.n1, params.n2)
     u = [1.0] * params.q if u is None else _as_weights(u, params.q)
     if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
         return params.n1 // 2 * math.log(u[1])
@@ -365,6 +363,7 @@ def hessian_H(alpha: float, q: int) -> np.ndarray:
 def chi_value(t, alpha: float, q: int) -> float:
     """Scaled cumulant rate chi(t) = log(Path(zeta_u,u)/Path(zeta_1,1))
     - alpha log(zeta_u/zeta_1) with u_j = e^{t_j}; chi(0) = 0."""
+    q = check_q(q)
     t = np.asarray(t, dtype=float)
     if t.shape != (q - 1,):
         raise ValueError("t must have length q-1 (components 2..q)")

@@ -5,8 +5,9 @@ class DegseqError(Exception):
     """Base class for all package-specific failures."""
 
 
-class DomainError(DegseqError):
-    """Input is outside the mathematical domain of an operation."""
+class DomainError(DegseqError, ValueError):
+    """Input is outside the mathematical domain of an operation; also a
+    ValueError, the type of every other bad argument."""
 
 
 class EmptyClassError(DomainError):

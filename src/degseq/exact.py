@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import EmptyClassError
+from .errors import DomainError, EmptyClassError
 from .series import (
     MPoly,
     as_fraction,
@@ -109,11 +109,11 @@ class CensusPolynomial:
 
 
 def check_counts(n1: int, n2: int) -> None:
-    """ValueError unless n1, n2 >= 0 and n1 is even (each path has two ends)."""
+    """DomainError unless n1, n2 >= 0 and n1 is even (each path has two ends)."""
     if n1 < 0 or n2 < 0:
-        raise ValueError("vertex counts must be nonnegative")
+        raise DomainError("vertex counts must be nonnegative")
     if n1 % 2:
-        raise ValueError("n1 must be even")
+        raise DomainError("n1 must be even")
 
 
 def v_factor(n1: int, n2: int) -> Fraction:

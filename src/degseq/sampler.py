@@ -1,7 +1,8 @@
 """Configuration-model sampling of degree-{1,2} multigraphs: uniform stub
 matching, rejection to simple graphs, component census, and a seeded,
-optionally parallel experiment harness that draws, rejects, labels and
-tallies a block of pairings per numpy call.
+optionally parallel experiment harness that draws and rejects a block of
+pairings per numpy call, and labels the degree-2 vertices of the accepted
+rows a block's worth at a time.
 
 The single-graph API is plain Python: sample_multigraph shuffles a Python
 list of stub owners with Generator.shuffle, which makes the same draws as
@@ -26,7 +27,8 @@ from .unionfind import UnionFind
 # replications per seeded chunk of run_experiment
 CHUNK_REPS = 100
 # vertices per block of pairings drawn at once (max(1, _BLOCK_VERTICES // n)
-# rows); bounds the block's memory, and affects speed only
+# rows); bounds the block's memory, and that of a labelled batch of accepted
+# rows to under twice it, and affects speed only
 _BLOCK_VERTICES = 2**15
 
 
@@ -58,7 +60,7 @@ class StubMultigraph:
 def _stub_owners(n1: int, n2: int) -> np.ndarray:
     """Vertex of each stub: one stub on each of the first n1 vertices, two on
     each of the rest."""
-    owners = np.empty(n1 + 2 * n2, dtype=np.int32)
+    owners = np.empty(n1 + 2 * n2, dtype=np.int64)
     owners[:n1] = np.arange(n1)
     owners[n1::2] = np.arange(n1, n1 + n2)
     owners[n1 + 1 :: 2] = np.arange(n1, n1 + n2)
@@ -167,33 +169,64 @@ def compensation_factor(g: StubMultigraph) -> Fraction:
 
 def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     """Census of a block of graphs on vertices 0..n1+n2-1, where row r of the
-    (rows, edges) arrays lo and hi holds the edge ends of graph r.  Returns
-    the (rows, q) matrix of U_1..U_q and the tail counts, equal row for row
-    to census() of each graph.  The block-diagonal union of all rows is
-    labelled in one connected_components call.  Raises StructuralError if a
-    row does not realize the degree profile (degree 1 on the first n1
-    vertices, 2 elsewhere)."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
+    (rows, edges) arrays lo and hi holds the edge ends of graph r, in either
+    order.  Returns the (rows, q) matrix of U_1..U_q and the tail counts,
+    equal row for row to census() of each graph.  Raises StructuralError if
+    a row does not realize the degree profile (degree 1 on the first n1
+    vertices, 2 elsewhere).
 
+    Once the profile holds, an edge joining two degree-1 vertices is a path
+    of size 2, and every other degree-1 vertex hangs off the one degree-2
+    vertex it is joined to.  So only the rows*n2 degree-2 vertices and the
+    edges among them are labelled (_contract, then _tally), in one
+    connected_components call on the block-diagonal union of the rows; a
+    component's size is its degree-2 vertices plus the degree-1 vertices
+    that hang off them."""
     q = check_q(q)
+    return _tally(n2, q, *_contract(n1, n2, lo, hi))
+
+
+def _contract(n1: int, n2: int, lo: np.ndarray, hi: np.ndarray):
+    """census_rows' checks, then the degree-2 part of its rows: the two ends
+    of each edge joining two degree-2 vertices, as vertex r*n2 + v - n1 of
+    the union for vertex v of row r, and each row's count of edges joining
+    two degree-1 vertices.  All vertex numbers are int64, whatever
+    rows*(n1+n2)."""
     n = n1 + n2
     rows = lo.shape[0]
     if lo.size and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= n):
         raise StructuralError("edge endpoint outside the vertex range")
     offset = (np.arange(rows, dtype=np.int64) * n)[:, None]
-    lo = (lo + offset).ravel()
-    hi = (hi + offset).ravel()
-    degree = np.bincount(np.concatenate((lo, hi)), minlength=rows * n).reshape(rows, n)
+    ends = np.concatenate(((lo + offset).ravel(), (hi + offset).ravel()))
+    degree = np.bincount(ends, minlength=rows * n).reshape(rows, n)
     if (degree[:, :n1] != 1).any() or (degree[:, n1:] != 2).any():
         raise StructuralError("edge endpoints do not match the degree profile")
-    graph = coo_matrix((np.ones(lo.size, dtype=np.int8), (lo, hi)), shape=(rows * n, rows * n))
+    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
+    inner = np.flatnonzero(a >= n1)
+    shift = inner // lo.shape[1] * n2 - n1
+    return a.ravel()[inner] + shift, b.ravel()[inner] + shift, np.count_nonzero(b < n1, axis=1)
+
+
+def _tally(n2: int, q: int, first: np.ndarray, second: np.ndarray, pairs: np.ndarray):
+    """census_rows' counts and tails from _contract's output for len(pairs)
+    rows, labelled in one connected_components call."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    rows = pairs.size
+    graph = coo_matrix(
+        (np.ones(first.size, dtype=np.int8), (first, second)), shape=(rows * n2, rows * n2)
+    )
     n_comps, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels, minlength=n_comps)
+    # V degree-2 vertices joined by E edges have 2V - 2E ends left over, one
+    # per hanging degree-1 vertex: the component holds 3V - 2E vertices
+    vertices = np.bincount(labels, minlength=n_comps)
+    sizes = 3 * vertices - 2 * np.bincount(labels[first], minlength=n_comps)
     comp_row = np.empty(n_comps, dtype=np.int64)
-    comp_row[labels] = np.repeat(np.arange(rows), n)
+    comp_row[labels] = np.repeat(np.arange(rows), n2)
     bucket = comp_row * (q + 1) + np.minimum(sizes, q + 1) - 1
     tally = np.bincount(bucket, minlength=rows * (q + 1)).reshape(rows, q + 1)
+    tally[:, 1] += pairs  # the paths of size 2
     return tally[:, :q], tally[:, q]
 
 
@@ -233,7 +266,10 @@ def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_
     Generator.permuted shuffles row after row with the draws of one
     Generator.permutation each, so the rows are the pairings that successive
     sample_multigraph calls would draw, and the output does not depend on
-    how the stream is cut into blocks."""
+    how the stream is cut into blocks.  Each block of at most max_rows
+    pairings is drawn, rejected and contracted to its degree-2 part at once
+    (_contract); the contracted rows wait until they reach max_rows or the
+    chunk ends, and are then labelled in one _tally call."""
     rng = np.random.default_rng(seed_seq)
     n1, n2, q = params.n1, params.n2, params.q
     n = n1 + n2
@@ -241,24 +277,32 @@ def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_
     simple = params.model == "simple"
     accept = acceptance_limit(params)
     max_rows = max(1, _BLOCK_VERTICES // max(n, 1))
-    counts, tails = [], []
+    counts, tails, firsts, seconds, pairs = [], [], [], [], []
+    pending = 0
     need = n_reps
     examined = 0
     while need:
         rows = min(max_rows, math.ceil(need / accept))
         lo, hi = _endpoints(rng.permuted(np.broadcast_to(owners, (rows, owners.size)), axis=1))
         if simple:
-            keys = np.sort(lo.astype(np.int64) * n + hi, axis=1)
+            keys = np.sort(lo * n + hi, axis=1)
             bad = (lo == hi).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
             kept = np.flatnonzero(~bad)[:need]
             if kept.size == need:
                 rows = int(kept[-1]) + 1
             lo, hi = lo[kept], hi[kept]
-        block_counts, block_tails = census_rows(n1, n2, q, lo, hi)
-        counts.append(block_counts)
-        tails.append(block_tails)
+        first, second, row_pairs = _contract(n1, n2, lo, hi)
+        firsts.append(first + pending * n2)
+        seconds.append(second + pending * n2)
+        pairs.append(row_pairs)
+        pending += lo.shape[0]
         need -= lo.shape[0]
         examined += rows
+        if pending >= max_rows or not need:
+            block_counts, block_tails = _tally(n2, q, *map(np.concatenate, (firsts, seconds, pairs)))
+            counts.append(block_counts)
+            tails.append(block_tails)
+            firsts, seconds, pairs, pending = [], [], [], 0
     return np.concatenate(counts), np.concatenate(tails), examined
 
 
@@ -288,8 +332,10 @@ def run_experiment(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
+        # a few tasks per worker: chunks of tiny graphs take about a millisecond
+        chunksize = -(-n_chunks // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes))
+            parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes, chunksize=chunksize))
     return ExperimentResult(
         params=params,
         seed=seed,

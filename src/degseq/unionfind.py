@@ -1,8 +1,8 @@
 """The single-graph component labeller: a disjoint-set forest (union by
 size, path halving) that also counts vertex degrees, used by census, the
 degree-profile check of validate_structure and the brute-force oracles.
-run_experiment labels whole blocks of graphs with sampler.census_rows
-instead."""
+run_experiment labels batches of graphs with sampler.census_rows instead,
+which hands only their degree-2 vertices to scipy's connected_components."""
 
 from __future__ import annotations
 

@@ -3,12 +3,15 @@ oracle (brute-force enumeration, finite differences, exact coefficients, or
 Monte Carlo at fixed seeds), each with its pinned tolerance.
 
 Monte Carlo checks run with fixed arbitrary seeds so the whole battery is
-deterministic.
+deterministic.  Checks 8, 9 and 11 share their chunks out over every CPU the
+process may run on; run_experiment's counts depend on the seed alone, so the
+verdicts do not depend on the machine.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,6 +63,14 @@ SEED_POISSON = 7
 SEED_STRUCTURE = 29
 SEED_GOF_SIMPLE = 3
 SEED_GOF_MULTI = {(2, 4): 13, (4, 3): 17}
+
+
+def _workers() -> int:
+    """CPUs this process may run on (all CPUs where the platform has no
+    affinity call): the Monte Carlo checks' worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 @dataclass
@@ -196,7 +207,8 @@ def check_gaussian_limit() -> dict:
     limit (not part of the verdict)."""
     p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="simple")
     law = limit_law(1.0, 4, "simple")
-    result = run_experiment(p, 20000, seed=SEED_GAUSSIAN)
+    workers = _workers()
+    result = run_experiment(p, 20000, seed=SEED_GAUSSIAN, workers=workers)
     v = standardize(result.counts, law, p.n1)
     report = moment_report(v, p.n1, p.n2)
     verdict = gaussian_check(report, law, tol_mean_se=4.0, tol_cov_abs=0.06)
@@ -206,6 +218,7 @@ def check_gaussian_limit() -> dict:
     return {
         "passed": verdict.passed,
         "seed": SEED_GAUSSIAN,
+        "workers": workers,
         "runtime_limit_s": 300,
         **verdict.details,
         "acceptance": acceptance,
@@ -218,9 +231,10 @@ def check_poisson_limit() -> dict:
     """Loop counts at n1=2000, N=20000 match Poisson(1/4)."""
     p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="multigraph")
     lam = limit_law(1.0, 4, "multigraph").poisson_lambda
-    result = run_experiment(p, 20000, seed=SEED_POISSON)
+    workers = _workers()
+    result = run_experiment(p, 20000, seed=SEED_POISSON, workers=workers)
     verdict = poisson_check(result.counts[:, 0], lam)
-    return {"passed": verdict.passed, "seed": SEED_POISSON, **verdict.details}
+    return {"passed": verdict.passed, "seed": SEED_POISSON, "workers": workers, **verdict.details}
 
 
 def check_structural_invariants() -> dict:
@@ -272,8 +286,8 @@ def check_structural_invariants() -> dict:
     }
 
 
-def _sampled_census_counts(p: GraphClassParams, seed: int) -> Counter:
-    result = run_experiment(p, 100000, seed=seed)
+def _sampled_census_counts(p: GraphClassParams, seed: int, workers: int) -> Counter:
+    result = run_experiment(p, 100000, seed=seed, workers=workers)
     return Counter(map(tuple, result.counts.tolist()))
 
 
@@ -281,9 +295,10 @@ def check_small_instance_distributions() -> dict:
     """Sampled censuses of run_experiment match the exact laws: rejection
     sampling at (4,4) against the census PMF, pairings against the matching
     oracle."""
-    results = {}
+    workers = _workers()
+    results = {"workers": workers}
     p = GraphClassParams(4, 4, q=8)
-    observed = _sampled_census_counts(p, SEED_GOF_SIMPLE)
+    observed = _sampled_census_counts(p, SEED_GOF_SIMPLE, workers)
     verdict = chi_square_gof(observed, joint_pmf(p), 100000, significance=0.001)
     results["simple_4_4_p"] = verdict.details["p_value"]
     passed = verdict.passed
@@ -291,7 +306,7 @@ def check_small_instance_distributions() -> dict:
         p = GraphClassParams(n1, n2, q=n1 + n2, model="multigraph")
         oracle = brute_force_multigraph(p)
         probs = {k: c / oracle.total for k, c in oracle.poly.terms.items()}
-        observed = _sampled_census_counts(p, seed)
+        observed = _sampled_census_counts(p, seed, workers)
         verdict = chi_square_gof(observed, probs, 100000, significance=0.001)
         results["multigraph_%d_%d_p" % (n1, n2)] = verdict.details["p_value"]
         passed = passed and verdict.passed

@@ -13,3 +13,5 @@ def test_acceptance_criterion(number, name):
     result = verify.run_check(number)
     print(result.line())
     assert result.passed, "criterion %d (%s) failed: %s" % (number, name, result.details)
+    if number in (8, 9, 11):  # the Monte Carlo checks run on every CPU the process may use
+        assert result.details["workers"] == verify._workers()

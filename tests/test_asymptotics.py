@@ -511,6 +511,29 @@ def test_log_v_factor_rejects_negative_counts(n1, n2):
         log_v_factor(n1, n2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: contour_extract(GraphClassParams(3, 4, q=3)),
+        lambda: asymptotic_log_gf(GraphClassParams(3, 4, q=3)),
+        lambda: log_v_factor(3, 4),
+    ),
+    ids=("contour_extract", "asymptotic_log_gf", "log_v_factor"),
+)
+def test_odd_n1_is_one_domain_error(call):
+    # one check (exact.check_counts) with one type, which is also a ValueError
+    with pytest.raises(DomainError, match="n1 must be even") as info:
+        call()
+    assert isinstance(info.value, ValueError)
+
+
+def test_chi_value_reads_q_first():
+    with pytest.raises(TypeError):
+        chi_value([0.0], 1.0, 2.5)
+    with pytest.raises(ValueError, match="q must be >= 2"):
+        chi_value([], 1.0, 1)
+
+
 @pytest.mark.parametrize("alpha", (float("inf"), float("nan")))
 def test_solve_zeta_rejects_non_finite_alpha(alpha):
     with pytest.raises(DomainError):

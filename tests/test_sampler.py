@@ -342,6 +342,72 @@ def test_census_rows_rejects_forged_degree_profile():
             census_rows(2, 1, 2, np.array(lo), np.array(hi))
 
 
+def _either_order(edges, rng):
+    """(lo, hi) arrays of a (rows, edges, 2) block with each edge's ends
+    swapped at random."""
+    swap = rng.random(edges.shape[:2]) < 0.5
+    return np.where(swap, edges[..., 1], edges[..., 0]), np.where(swap, edges[..., 0], edges[..., 1])
+
+
+@pytest.mark.parametrize("model", ("simple", "multigraph"))
+def test_census_rows_matches_census_on_random_blocks(model):
+    # seeded blocks of 0 to 5 graphs, ends in either order; the empty graph,
+    # n1 = 0 (cycles only), n2 = 0 (size-2 paths only), and a q above every
+    # component
+    rng = np.random.default_rng(53 if model == "simple" else 59)
+    draw = sample_simple if model == "simple" else sample_multigraph
+    cases = [(0, 0), (0, 3), (0, 9), (2, 0), (10, 0), (2, 1), (8, 6), (30, 12), (6, 40)]
+    tails = 0
+    for n1, n2 in cases:
+        for rows in (0, int(rng.integers(1, 6))):
+            graphs = [draw(n1, n2, rng) for _ in range(rows)]
+            edges = np.array([g.edges for g in graphs], dtype=np.int64).reshape(rows, n1 // 2 + n2, 2)
+            lo, hi = _either_order(edges, rng)
+            for q in (2, 3, n1 + n2 + 2):
+                counts, tail_counts = census_rows(n1, n2, q, lo, hi)
+                assert counts.shape == (rows, q) and tail_counts.shape == (rows,)
+                for g, row, tail in zip(graphs, counts.tolist(), tail_counts.tolist()):
+                    c = census(g, q)
+                    assert (list(c.counts), c.tail_count) == (row, tail)
+                if q > n1 + n2:
+                    assert not tail_counts.any()
+                tails += int(tail_counts.sum())
+    assert tails > 0
+
+
+def test_census_rows_rejects_a_forged_row_after_good_ones():
+    # one edge (x, y), x != y, of a later row becomes the loop (x, x): y
+    # loses a degree and x gains one, so only that row breaks the profile
+    rng = np.random.default_rng(61)
+    n1, n2 = 6, 5
+    edges = np.array([sample_multigraph(n1, n2, rng).edges for _ in range(4)])
+    lo, hi = _either_order(edges, rng)
+    census_rows(n1, n2, 3, lo, hi)
+    for r in (1, 3):
+        k = int(np.flatnonzero(lo[r] != hi[r])[0])
+        forged = lo.copy(), hi.copy()
+        forged[1][r, k] = forged[0][r, k]
+        with pytest.raises(StructuralError, match="degree profile"):
+            census_rows(n1, n2, 3, *forged)
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+def test_run_experiment_independent_of_labelling_batches(model, monkeypatch):
+    # n = 60: one block per chunk by default; 3-row blocks at 200 vertices,
+    # so each chunk is labelled in dozens of calls of under 6 rows
+    p = GraphClassParams.from_alpha(1.0, 40, q=3, model=model)
+    wide = run_experiment(p, 250, seed=19)
+    batches = []
+    tally = sampler._tally
+    monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 200)
+    monkeypatch.setattr(sampler, "_tally", lambda *args: batches.append(len(args[4])) or tally(*args))
+    narrow = run_experiment(p, 250, seed=19)
+    assert len(batches) >= 3 * 100 // 6 and max(batches) < 2 * 3
+    assert np.array_equal(wide.counts, narrow.counts)
+    assert np.array_equal(wide.tail_counts, narrow.tail_counts)
+    assert wide.pairings_examined == narrow.pairings_examined
+
+
 def test_run_experiment_mean_component_count():
     # E[U_2] ~ n1/4 at alpha = 1
     p = GraphClassParams.from_alpha(1.0, 200, q=3)
