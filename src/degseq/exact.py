@@ -102,10 +102,14 @@ class CensusPolynomial:
 
     def pmf(self) -> dict:
         """Joint law of the census vector, keyed by sorted exponent tuple;
-        values sum to 1.  Raises EmptyClassError for the zero polynomial."""
+        values sum to 1.  Each row is a_i / T in one gcd, with a_i the term's
+        numerator over the common denominator and T = sum a_i.  Raises
+        EmptyClassError for the zero polynomial."""
         if self.is_empty:
             raise EmptyClassError("empty class: the census polynomial is zero")
-        return {exps: coeff / self.total for exps, coeff in sorted(self.poly.terms.items())}
+        _, nums = self.poly.numerators()
+        total = sum(nums.values())
+        return {exps: Fraction(a, total) for exps, a in sorted(nums.items())}
 
 
 def check_counts(n1: int, n2: int) -> None:
@@ -384,11 +388,10 @@ def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
         "q": census.q,
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }
-    polynomial = ((e, census.poly.terms[e]) for e in pmf)
+    keys = [",\n        ".join(map(str, e)) for e in pmf]
     lists = []
-    for name, terms in (("exponents", polynomial), ("counts", pmf.items())):
-        rows = (_TERM % (name, ",\n        ".join(map(str, e)), c.numerator, c.denominator)
-                for e, c in terms)
+    for name, coeffs in (("exponents", map(census.poly.terms.get, pmf)), ("counts", pmf.values())):
+        rows = (_TERM % (name, key, c.numerator, c.denominator) for key, c in zip(keys, coeffs))
         lists.append(",\n".join(rows))
     return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (
         json.dumps(head, indent=2)[:-2], *lists)  # head without its closing "\n}"

@@ -13,7 +13,9 @@ Conventions used throughout the package:
   floating point: the recurrences run on Python ``int`` numerators over a
   known common scale (Miller's b_m is b_0 u^shift g_m / (m! D^m) with g_m
   integer), and each output term becomes one ``fractions.Fraction`` at the
-  end, so the recurrences reduce no gcd per product or sum;
+  end, in the product with the monomial c u^shift (``MPoly * MPoly`` with a
+  one-term right side: exponent tuples shifted, one gcd a term), so the
+  recurrences reduce no gcd per product or sum;
 * inside products and recurrences a monomial is one ``int`` key, its
   exponents as balanced base-B digits (Kronecker substitution), so
   multiplying monomials adds keys; B = 2 * bound + 1 covers every exponent
@@ -107,12 +109,17 @@ class MPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def numerators(self):
+        """(L, {exps: a}) with L the lcm of the coefficient denominators and
+        a = L * coeff an int for every term."""
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        return den, {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
+
     def coefficient_sum(self) -> Fraction:
         """Value of the polynomial with every variable set to 1, summed over
         the common denominator: one Fraction, not one per term."""
-        coeffs = self.terms.values()
-        den = math.lcm(*(c.denominator for c in coeffs))
-        return Fraction(sum(c.numerator * (den // c.denominator) for c in coeffs), den)
+        den, nums = self.numerators()
+        return Fraction(sum(nums.values()), den)
 
     def evaluate(self, values):
         """Evaluate at a length-nvars point; exact for Fraction inputs, float
@@ -137,18 +144,33 @@ class MPoly:
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "MPoly":
+        """Wrap a term dict of nonzero coefficients keyed by length-nvars
+        tuples, without checking or copying it.  Int coefficients are
+        allowed; a product with a monomial turns them into Fractions."""
+        result = cls.__new__(cls)
+        result.nvars = nvars
+        result.terms = terms
+        return result
+
     def __mul__(self, other):
         if isinstance(other, MPoly):
             self._check_compatible(other)
+            if len(other.terms) == 1:
+                # times c u^s: shift each exponent tuple, one gcd a term
+                ((s, c),) = other.terms.items()
+                n, d = c.numerator, c.denominator
+                return MPoly._of(self.nvars, {
+                    tuple(map(operator.add, e, s)): Fraction(x.numerator * n, x.denominator * d)
+                    for e, x in self.terms.items()
+                })
             (out,) = _product([self.terms], [other.terms], self.nvars)
             return MPoly(self.nvars, out)
         scalar = as_fraction(other)
         if not scalar:
             return MPoly.zero(self.nvars)
-        result = MPoly.__new__(MPoly)
-        result.nvars = self.nvars
-        result.terms = {e: c * scalar for e, c in self.terms.items()}
-        return result
+        return MPoly._of(self.nvars, {e: c * scalar for e, c in self.terms.items()})
 
     def __repr__(self):
         return "MPoly(%d, %r)" % (self.nvars, dict(sorted(self.terms.items())))
@@ -222,8 +244,8 @@ class TruncatedSeries:
         coeffs = []
         c = b0
         for m, gm in enumerate(g):
-            gm = _unpacked(gm, base, self.nvars)
-            coeffs.append(MPoly(self.nvars, gm) * MPoly(self.nvars, {shift: c}))
+            gm = MPoly._of(self.nvars, _unpacked(gm, base, self.nvars))
+            coeffs.append(gm * MPoly(self.nvars, {shift: c}))
             c /= (m + 1) * scale
         return TruncatedSeries(self.order, self.nvars, coeffs)
 
@@ -240,13 +262,17 @@ def _pack(exps, base):
     return key
 
 
-def _columns(keys, base, nvars):
-    """The exponents of the packed keys, one list per u_1..u_nvars: adding
-    ``half`` to every digit leaves plain base-``base`` digits to read off."""
+def _columns(keys, base, nvars, variables=None):
+    """The exponents of the packed keys, one list per variable index in
+    ``variables`` (default all of u_1..u_nvars, 0-based): adding ``half`` to
+    every digit leaves plain base-``base`` digits to read off."""
+    variables = range(nvars) if variables is None else variables
+    if not variables:
+        return []
     half = base // 2
     offset = _pack((half,) * nvars, base)
     keys = [key + offset for key in keys]
-    return [[key // p % base - half for key in keys] for p in (base**i for i in range(nvars))]
+    return [[key // p % base - half for key in keys] for p in (base**i for i in variables)]
 
 
 def _unpacked(terms, base, nvars):
@@ -312,7 +338,14 @@ def _miller(a, scale, order, weight, shift, base):
     Exponents may be negative (alpha_j = a_j / a_0 shifts by the lead
     monomial), but u^shift * g_m must be a polynomial: a term left with a
     negative exponent means a_0 did not divide the sum, and raises
-    ValueError."""
+    ValueError.  Only the variables some A_j term or the shift makes
+    negative are decoded for that check; a g_m key sums A_j keys, so no
+    other variable can fire it (the exp recurrence decodes none, the path
+    power only u_2)."""
+    nvars = len(shift)
+    lows = [min(col, default=0) for col in _columns([key for aj in a for key in aj], base, nvars)]
+    checked = [i for i in range(nvars) if lows[i] < 0 or shift[i] < 0]
+    shifts = [shift[i] for i in checked]
     g = [{0: 1}]
     for m in range(1, order + 1):
         acc = {}
@@ -323,7 +356,7 @@ def _miller(a, scale, order, weight, shift, base):
                 _mul_into(acc, a[j], g[m - j], w)
             falling *= (m - j) * scale
         gm = {e: c for e, c in acc.items() if c}
-        for column, s in zip(_columns(gm, base, len(shift)), shift):
+        for column, s in zip(_columns(gm, base, nvars, checked), shifts):
             if min(column, default=0) + s < 0:
                 raise ValueError("a_0 does not divide the sum at z^%d" % m)
         g.append(gm)
@@ -366,8 +399,10 @@ def product_coefficient(cyc: TruncatedSeries, path: TruncatedSeries, k: int, sca
 
         b0 u^shift sum_i C(n, i) D_E^{n-i} D_P^i gE_i gP_{n-i} / (n! (D_E D_P)^n):
 
-    O(n) integer polynomial products on packed keys, then one Fraction per
-    output term."""
+    O(n) integer polynomial products on packed keys.  The integer sum is
+    wrapped as an MPoly with int coefficients (zeros dropped) and multiplied
+    by the monomial scale b0 u^shift / (n! (D_E D_P)^n), which forms each
+    output term's one Fraction with one gcd."""
     cyc._check_compatible(path)
     n = cyc.order
     base = _miller_base(cyc, path)
@@ -377,8 +412,8 @@ def product_coefficient(cyc: TruncatedSeries, path: TruncatedSeries, k: int, sca
     for i in range(n + 1):
         _mul_into(acc, ge[i], gp[n - i], math.comb(n, i) * de ** (n - i) * dp**i)
     c = b0 * as_fraction(scale) / (math.factorial(n) * (de * dp) ** n)
-    acc = _unpacked(acc, base, cyc.nvars)
-    return MPoly(cyc.nvars, acc) * MPoly(cyc.nvars, {shift: c})
+    acc = MPoly._of(cyc.nvars, _unpacked({e: x for e, x in acc.items() if x}, base, cyc.nvars))
+    return acc * MPoly(cyc.nvars, {shift: c})
 
 
 def build_path_series(q: int, order: int) -> TruncatedSeries:

@@ -58,6 +58,8 @@ def standardize(counts: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[1] != law.q:
         raise ValueError("counts must be (N, q) with q = %d" % law.q)
+    if not np.all(np.isfinite(counts)):
+        raise ValueError("counts must be finite")
     if n1 < 2 or n1 % 2:
         raise ValueError("standardization needs an even n1 >= 2")
     k = n1 / 2.0
@@ -69,6 +71,8 @@ def moment_report(v: np.ndarray, n1: int, n2: int) -> MomentReport:
     n = len(v)
     if n < 2:
         raise ValueError("need at least 2 samples for the moments")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("standardized vectors must be finite")
     mean = v.mean(axis=0)
     cov = np.atleast_2d(np.cov(v, rowvar=False, ddof=1))
     se = v.std(axis=0, ddof=1) / math.sqrt(n)
@@ -161,14 +165,24 @@ def chi_square_gof(
 ) -> Verdict:
     """Generic chi-square goodness of fit of observed outcome counts against
     exact outcome probabilities; cells with small expectation are pooled, and
-    observed outcomes outside the support land in the pooled cell."""
+    observed outcomes outside the support land in the pooled cell.  Raises
+    ValueError unless n_samples >= 1, the probabilities are finite,
+    nonnegative and sum to 1, and the observed counts sum to n_samples (both
+    within a relative 1e-9)."""
+    if n_samples < 1 or not probs:
+        raise ValueError("need n_samples >= 1 and at least one outcome")
+    floats = {key: float(p) for key, p in probs.items()}
+    if not all(0.0 <= p < math.inf for p in floats.values()):  # NaN fails too
+        raise ValueError("probabilities must be finite and nonnegative")
+    if not abs(math.fsum(floats.values()) - 1.0) <= 1e-9:
+        raise ValueError("probabilities must sum to 1")
+    if not math.isclose(math.fsum(map(float, observed.values())), n_samples, rel_tol=1e-9):
+        raise ValueError("observed counts must sum to n_samples = %d" % n_samples)
     cells = []
     pooled_exp = 0.0
     pooled_obs = 0.0
-    support = set()
-    for key, p in probs.items():
-        support.add(key)
-        exp = n_samples * float(p)
+    for key, p in floats.items():
+        exp = n_samples * p
         obs = float(observed.get(key, 0))
         if exp >= MIN_EXPECTED:
             cells.append((obs, exp))
@@ -176,13 +190,14 @@ def chi_square_gof(
             pooled_exp += exp
             pooled_obs += obs
     for key, count in observed.items():
-        if key not in support:
+        if key not in floats:
             pooled_obs += count
     if pooled_exp > 0 or pooled_obs > 0:
         cells.append((pooled_obs, max(pooled_exp, 1e-12)))
     if len(cells) < 2:
-        stat = 0.0 if cells and abs(cells[0][0] - cells[0][1]) < 1e-9 else float("inf")
-        p_value = 1.0 if stat == 0.0 else 0.0
+        # one cell holds all n_samples counts and all the probability (both
+        # checked above): there is nothing to test
+        stat, p_value = 0.0, 1.0
     else:
         stat = sum((o - e) ** 2 / e for o, e in cells)
         from scipy.special import chdtrc  # scipy.stats.chi2.sf, without loading scipy.stats

@@ -284,6 +284,16 @@ def test_joint_pmf_matches_brute_force_ratio():
     assert pmf == {k: c / bf.total for k, c in bf.poly.terms.items()}
 
 
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+@pytest.mark.parametrize("n1, n2, q", [(4, 4, 8), (20, 20, 4), (8, 6, 4), (2, 0, 2), (0, 0, 3)])
+def test_pmf_is_each_coefficient_over_the_total(n1, n2, q, model):
+    # the common-denominator rows against the Fraction division they replace,
+    # in the same sorted order
+    census = graph_gf(GraphClassParams(n1, n2, q=q, model=model))
+    expected = {e: c / census.total for e, c in sorted(census.poly.terms.items())}
+    assert list(census.pmf().items()) == list(expected.items())
+
+
 def test_joint_pmf_empty_class_raises():
     with pytest.raises(EmptyClassError):
         joint_pmf(GraphClassParams(0, 2, q=2))

@@ -9,6 +9,7 @@ from degseq.series import (
     TruncatedSeries,
     _miller,
     _pack,
+    _product,
     _unpacked,
     build_cycle_series,
     build_path_series,
@@ -120,6 +121,18 @@ def test_miller_rejects_a_term_left_with_a_negative_exponent():
         _miller(packed, 1, 1, lambda j, m: 1, (0, 0), 3)
     g = _miller(packed, 1, 1, lambda j, m: 1, (1, 0), 3)
     assert [_unpacked(t, 3, 2) for t in g] == [{(0, 0): 1}, {(-1, 0): 1}]
+
+
+def test_miller_checks_every_variable_an_input_or_the_shift_can_lower():
+    # u_2 is negative in A_1 alone; then a negative shift entry on
+    # nonnegative inputs, which no A_j term can make negative
+    packed = [{}, {_pack((0, -1), 3): 1}]
+    with pytest.raises(ValueError, match="does not divide"):
+        _miller(packed, 1, 1, lambda j, m: 1, (0, 0), 3)
+    assert _miller(packed, 1, 1, lambda j, m: 1, (0, 1), 3)[1] == packed[1]
+    packed = [{}, {_pack((1, 0), 3): 1}]
+    with pytest.raises(ValueError, match="does not divide"):
+        _miller(packed, 1, 1, lambda j, m: 1, (0, -1), 3)
 
 
 @pytest.mark.parametrize("q", range(2, 11))
@@ -244,6 +257,27 @@ monomial_st = st.builds(
     exponents_st,
     fractions_st.filter(bool),
 )
+
+
+# the fast path's shift may carry negative exponents (a_j / a_0 does)
+signed_monomial_st = st.builds(
+    lambda exps, coeff: MPoly(2, {exps: coeff}),
+    st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+    fractions_st.filter(bool),
+)
+constant_st = fractions_st.map(lambda c: MPoly.constant(0, c))
+
+
+@given(st.one_of(
+    st.tuples(mpoly_st, signed_monomial_st),
+    st.tuples(constant_st, constant_st.filter(lambda m: not m.is_zero())),
+))
+def test_monomial_product_matches_the_packed_product(pair):
+    # MPoly * (one-term MPoly) shifts exponents instead of packing keys
+    a, m = pair
+    got = a * m
+    assert got == MPoly(a.nvars, _product([a.terms], [m.terms], a.nvars)[0])
+    assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 @st.composite

@@ -132,6 +132,9 @@ def test_chi_square_gof_point_mass_passes():
     probs = {(0, 1): Fraction(1)}
     verdict = chi_square_gof(Counter({(0, 1): 500}), probs, 500)
     assert verdict.passed
+    # a float mass within the accepted 1e-9 of 1 is still a point mass
+    verdict = chi_square_gof(Counter({(0, 1): 1000}), {(0, 1): 1 - 1e-10}, 1000)
+    assert verdict.passed and verdict.details["chi2_stat"] == 0.0
 
 
 # chi-square statistics as multiples of dof: 0, 1e-300, the bulk around the
@@ -158,6 +161,38 @@ def test_chi_square_gof_p_value_is_scipy_chi2_sf():
             details = chi_square_gof(observed, probs, n).details
             assert details["cells"] == cells
             assert details["p_value"] == float(chi2.sf(details["chi2_stat"], dof))
+
+
+@pytest.mark.parametrize(
+    "observed, probs, n_samples, message",
+    [
+        ({}, {}, 0, "n_samples >= 1"),
+        ({"a": 0}, {"a": 1.0}, 0, "n_samples >= 1"),
+        ({"a": 10}, {}, 10, "at least one outcome"),
+        ({"a": 10}, {"a": -0.5, "b": 1.5}, 10, "nonnegative"),
+        ({"a": 10}, {"a": float("nan")}, 10, "finite"),
+        ({"a": 10}, {"a": float("inf"), "b": -float("inf")}, 10, "finite"),
+        ({"a": 5, "b": 5}, {"a": 0.9, "b": 0.9}, 10, "sum to 1"),
+        ({"a": 5, "b": 5}, {"a": 0.5, "b": 0.5 - 1e-8}, 10, "sum to 1"),
+        ({"a": 5, "b": 5}, {"a": 0.5, "b": 0.5}, 100, "sum to n_samples"),
+        ({"a": 5.0, "b": float("nan")}, {"a": 0.5, "b": 0.5}, 10, "sum to n_samples"),
+    ],
+)
+def test_chi_square_gof_rejects_inconsistent_input(observed, probs, n_samples, message):
+    # each of these used to return an inf or NaN statistic or p-value, or a
+    # verdict on counts that do not add up
+    with pytest.raises(ValueError, match=message):
+        chi_square_gof(observed, probs, n_samples)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_standardize_and_moment_report_reject_non_finite_input(bad):
+    counts = np.full((5, 4), 2.0)
+    counts[3, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        standardize(counts, LAW1, 8)
+    with pytest.raises(ValueError, match="finite"):
+        moment_report([[bad, 1.0], [2.0, 3.0]], 4, 2)
 
 
 @pytest.mark.parametrize("lam", [0.0, -0.25, float("inf"), float("nan")])
