@@ -13,7 +13,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 from .errors import DegseqError
@@ -26,16 +25,6 @@ def _nonneg_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
-
-
-def _default_seed() -> int:
-    env = os.environ.get("DEGSEQ_SEED")
-    if not env:
-        return 0
-    try:
-        return _nonneg_int(env)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise DegseqError("DEGSEQ_SEED must be a nonnegative integer, got %r" % env) from None
 
 
 def _write_json(obj, path):
@@ -95,9 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--q", type=int, default=2)
     p_sample.add_argument("--model", choices=MODELS, default="simple")
     p_sample.add_argument("--N", type=int, default=1000, dest="n_reps")
-    p_sample.add_argument("--seed", type=_nonneg_int, default=None)
+    p_sample.add_argument("--seed", type=_nonneg_int, default=0)
     p_sample.add_argument(
-        "--workers", type=int, default=None, help="default: available parallelism"
+        "--workers", type=int, default=None, help="default: the CPUs this process may run on"
     )
     p_sample.add_argument("--out", required=True, help="CSV path; a .meta.json sidecar is written next to it")
 
@@ -135,12 +124,11 @@ def _cmd_limit_law(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .sampler import run_experiment, sidecar_metadata, write_samples_csv
+    from .sampler import available_cpus, run_experiment, sidecar_metadata, write_samples_csv
 
     params = _params(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    result = run_experiment(params, args.n_reps, seed=seed, workers=workers)
+    workers = args.workers if args.workers is not None else available_cpus()
+    result = run_experiment(params, args.n_reps, seed=args.seed, workers=workers)
     write_samples_csv(result, args.out)
     _write_json(sidecar_metadata(result), args.out + ".meta.json")
     return 0

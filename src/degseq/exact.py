@@ -1,10 +1,12 @@
 """Exact census of graphs with all degrees 1 or 2.
 
 Every such graph is a disjoint union of paths (two degree-1 endpoints) and
-cycles (all degree 2).  The closed-form pipeline multiplies the cycle-set
-series with the path series raised to the number of paths and extracts one z
-coefficient; the brute-force enumerations below rebuild the same census
-polynomials from scratch and serve as independent oracles.
+cycles (all degree 2).  The census is one z coefficient of the cycle-set
+series times the path series raised to the number of paths: ``graph_gf``
+expands it in closed form term by term, ``graph_gf_value`` evaluates it at
+rational weights by a D-finite recurrence, and the brute-force enumerations
+below rebuild the same census polynomials graph by graph as independent
+oracles.
 """
 
 from __future__ import annotations
@@ -17,21 +19,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, EmptyClassError
-from .series import (
-    MPoly,
-    as_fraction,
-    build_cycle_series,
-    build_path_series,
-    check_model,
-    check_q,
-    product_coefficient,
-)
+from .series import MPoly, as_fraction, check_model, check_q
 from .unionfind import UnionFind
 
 SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
-# graph_gf bound on n1 + n2.  Its time grows about as n2^3 and steeply in q:
-# on a 2-vCPU host q = 2 takes 7.1 s at (n1, n2) = (4, 796) and 25 s at
-# (400, 400), and q = 4 already takes 5.2 s at (4, 200).
+# graph_gf bound on n1 + n2.  Its time follows the number of census terms,
+# which grows steeply with q, and more in the multigraph model: on a 2-vCPU
+# host at n1 + n2 = 800, q = 2 takes 0.12 s at (400, 400) simple and 24 s
+# multigraph, q = 3 takes 5.7 s at (400, 400) and q = 4 8.5 s at (4, 796).
 EXACT_SIZE_LIMIT = 800
 # graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
 # host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).
@@ -56,7 +51,7 @@ class GraphClassParams:
 
     def __post_init__(self):
         # TypeError unless an integer; numpy integers are stored as Python
-        # ints, which the exact kernel's packed keys need (no wraparound)
+        # ints, since the exact kernels' integer arithmetic must not wrap around
         for name in ("n1", "n2", "q"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.n1 < 0 or self.n2 < 0:
@@ -127,23 +122,128 @@ def v_factor(n1: int, n2: int) -> Fraction:
     return Fraction(math.factorial(n1 + n2), (1 << (n1 // 2)) * math.factorial(n1 // 2))
 
 
+def _unmarked_rows(n2: int, k: int, q: int, s: int):
+    """(D, R) with D = n2! 2^{n2} and R[t][i] = k!/t! * D * [z^i] E(z)/(1-z)^t,
+    E = exp(sum_{j>=s} z^j/(2j)): the mass of t unmarked paths and the
+    unmarked cycles together on i spare degree-2 vertices.  All integers:
+    i E_i = 1/2 sum_{j>=s} E_{i-j} gives row 0, and row t is the prefix sum of
+    row t-1 over t.  Row t stops at i = n2 - (q-1) t, the largest index a
+    census term reads."""
+    scale = math.factorial(n2) << n2
+    row = [scale * math.factorial(k)]
+    acc = 0
+    for i in range(1, n2 + 1):
+        if i >= s:
+            acc += row[i - s]
+        row.append(acc // (2 * i))
+    rows = [row]
+    for t in range(1, min(k, n2 // (q - 1)) + 1):
+        run, row = 0, []
+        for x in rows[-1][: n2 - (q - 1) * t + 1]:
+            run += x
+            row.append(run // t)
+        rows.append(row)
+    return scale, rows
+
+
 def graph_gf(params: GraphClassParams) -> CensusPolynomial:
     """Exact joint census polynomial of the component counts:
     [z^{n2}] exp(Cyc(z)) * Path(z)^{n1/2} times the relabelling prefactor,
-    convolved on integer numerators by ``series.product_coefficient``.
+    expanded in closed form one census term at a time.
+
+    Path is sum_{j<=q} u_j z^{j-2} + z^{q-1}/(1-z), so with k = n1/2 paths the
+    multinomial theorem expands Path^k; the exponential formula expands
+    exp(Cyc) into one factor per marked cycle size and E(z) for the rest
+    (Flajolet-Sedgewick, Analytic Combinatorics, Ch. II).  Collecting both
+    sides of each size, the coefficient of u^e, W = sum_j j e_j, is
+
+        v_factor / (D prod_j (2j)^{e_j} e_j!)
+          * sum_t k!/t! T_t(n - W - (q+1) t) [x^{k-t}] prod_j B_j(x)^{e_j},
+
+    n = n1 + n2, t the unmarked paths (q+1 vertices or more each) and
+    k!/t! D T_t = R[t] of ``_unmarked_rows``; x counts marked paths, B_j = 2j x + 1
+    for a size that may be a path or a cycle, 2j x for a path only (size 2,
+    simple) and 1 for loops.  The terms are found depth first over e_q, e_{q-1},
+    ..., cutting each branch that no completion makes feasible (W + (q+1) t
+    <= n), and each term's integer sum gets its one Fraction in the product
+    with the monomial v_factor / (D L), L the lcm of the term denominators.
 
     Odd n1 yields the zero polynomial (the class is empty: every path uses two
-    degree-1 endpoints).  Raises ValueError, before any series is built,
-    when n1 + n2 exceeds EXACT_SIZE_LIMIT.
+    degree-1 endpoints).  Raises ValueError, before any work, when n1 + n2
+    exceeds EXACT_SIZE_LIMIT.
     """
     if params.n1 + params.n2 > EXACT_SIZE_LIMIT:
         raise ValueError("graph_gf bound n1+n2 <= %d exceeded" % EXACT_SIZE_LIMIT)
     q, n2 = params.q, params.n2
     if params.n1 % 2:
         return CensusPolynomial(MPoly.zero(q), Fraction(0))
-    cyc, path = build_cycle_series(q, n2, params.model), build_path_series(q, n2)
-    poly = product_coefficient(cyc, path, params.n1 // 2, v_factor(params.n1, n2))
-    return CensusPolynomial(poly, poly.coefficient_sum())
+    k, n = params.n1 // 2, params.n1 + n2
+    first = check_model(params.model)
+    scale, rows = _unmarked_rows(n2, k, q, max(q + 1, first))
+    long = q + 1  # fewest vertices of an unmarked path
+    low = max(first, 2)  # sizes low..q may be a path or a cycle
+    found = {}  # exponent tuple -> (integer sum, prod_j (2j)^{e_j} e_j!)
+    e = [0] * q
+
+    # the last size adds no x + 1/(2j) factor: y size-2 paths in the simple
+    # model (B_2^y / 4^y = x^y moves the x index by y, the denominator gains
+    # y!) or y loops in the multigraph (B_1 = 1, the denominator gains 2^y y!)
+    size, paths, unit = (2, 1, 1) if low > 2 else (1, 0, 2)
+
+    def last(w, c, poly, den):
+        # after c components of sizes >= low that may be paths, W = w and
+        # prod_j B_j = poly; the feasible counts y are the run lo..hi where
+        # the t >= d - paths * y unmarked paths still fit
+        d = k - c
+        if paths:  # w + 2y + long * max(0, d - y) <= n and y <= k
+            lo, hi = max(0, -((n - w - long * d) // (long - 2))), min(k, (n - w) // 2)
+        else:  # w + y + long * max(0, d) <= n
+            lo, hi = 0, n - w - long * max(0, d)
+        den *= unit**lo * math.factorial(lo)
+        for y in range(lo, hi + 1):
+            spare = n - w - size * y
+            top = k - paths * y  # the x index is top - t
+            total = 0
+            for t in range(max(0, d - paths * y), min(top, spare // long) + 1):
+                total += rows[t][spare - long * t] * poly[top - t]
+            if total:
+                e[size - 1] = y
+                found[tuple(e)] = (total, den)
+            den *= unit * (y + 1)
+        e[size - 1] = 0
+
+    def walk(j, w, c, poly, den):
+        # e_j components of size j, each a path or a cycle, after the larger
+        # sizes; a branch lives while its cheapest completion fits in n
+        # vertices: each of the k - c - x paths still missing has size 2 if a
+        # smaller size may still hold paths, else it is unmarked (q + 1)
+        fill = 2 if j > 2 else long
+        seen = False
+        for x in range((n - w) // j + 1):
+            d = k - c - x
+            if w + j * x + (fill * d if d > 0 else 0) > n:
+                if seen:
+                    break
+            else:
+                seen = True
+                e[j - 1] = x
+                if j > low:
+                    walk(j - 1, w + j * x, c + x, poly, den)
+                else:
+                    last(w + j * x, c + x, poly, den)
+            den *= 2 * j * (x + 1)
+            poly = [a + 2 * j * b for a, b in zip(poly + [0], [0] + poly)][: k + 1]
+        e[j - 1] = 0
+
+    if min(q, n) >= low:
+        walk(min(q, n), 0, 0, [1], 1)
+    else:
+        last(0, 0, [1], 1)
+    den = math.lcm(*(d for _, d in found.values()))
+    nums = {exps: total * (den // d) for exps, (total, d) in found.items()}
+    c = v_factor(params.n1, n2) / (scale * den)
+    poly = MPoly._of(q, nums) * MPoly(q, {(0,) * q: c})
+    return CensusPolynomial(poly, sum(nums.values()) * c)
 
 
 def _times_one_minus_z(coeffs):

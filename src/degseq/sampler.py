@@ -13,6 +13,7 @@ block engine's rows hold, seed for seed.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -304,6 +305,15 @@ def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_
             tails.append(block_tails)
             firsts, seconds, pairs, pending = [], [], [], 0
     return np.concatenate(counts), np.concatenate(tails), examined
+
+
+def available_cpus() -> int:
+    """CPUs this process may run on (all CPUs where the platform has no
+    affinity call): the default worker count of ``degseq sample`` and of the
+    Monte Carlo checks."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_experiment(

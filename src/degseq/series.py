@@ -1,8 +1,11 @@
-"""Exact arithmetic kernel: truncated power series in z whose coefficients are
-multivariate polynomials in the component-marking weights u_1..u_q over the
-rationals.  The package builds the cycle and path series and extracts one
-coefficient of exp(Cyc) * Path^k (``product_coefficient``); the series
-operations ``*``, ``**`` and ``exp`` are the references it is checked against.
+"""Exact arithmetic: multivariate polynomials in the component-marking
+weights u_1..u_q over the rationals (``MPoly``, the census polynomial's type),
+the model table and the q check, and truncated power series in z with MPoly
+coefficients.  ``exact.graph_gf`` expands the census in closed form; the
+cycle and path series and the series operations ``*``, ``**`` and ``exp``
+here are the plain reference it is checked against: tuple-keyed Fraction
+terms, a schoolbook product, and the O(order^2) recurrences for ``exp`` and
+``**``.
 
 Conventions used throughout the package:
 
@@ -10,17 +13,7 @@ Conventions used throughout the package:
   ``j - 1`` holds the weight u_j on components of size j; u_1 (slot 0) is only
   meaningful for multigraphs and stays unused for simple graphs;
 * all coefficients are exact rationals and nothing ever passes through
-  floating point: the recurrences run on Python ``int`` numerators over a
-  known common scale (Miller's b_m is b_0 u^shift g_m / (m! D^m) with g_m
-  integer), and each output term becomes one ``fractions.Fraction`` at the
-  end, in the product with the monomial c u^shift (``MPoly * MPoly`` with a
-  one-term right side: exponent tuples shifted, one gcd a term), so the
-  recurrences reduce no gcd per product or sum;
-* inside products and recurrences a monomial is one ``int`` key, its
-  exponents as balanced base-B digits (Kronecker substitution), so
-  multiplying monomials adds keys; B = 2 * bound + 1 covers every exponent
-  a product can reach, negative ones included, and keys are unpacked only
-  into the exponent tuples of the resulting ``MPoly`` terms.
+  floating point.
 """
 
 from __future__ import annotations
@@ -165,7 +158,8 @@ class MPoly:
                     tuple(map(operator.add, e, s)): Fraction(x.numerator * n, x.denominator * d)
                     for e, x in self.terms.items()
                 })
-            (out,) = _product([self.terms], [other.terms], self.nvars)
+            out = {}
+            _add_product(out, self.terms, other.terms)
             return MPoly(self.nvars, out)
         scalar = as_fraction(other)
         if not scalar:
@@ -217,203 +211,65 @@ class TruncatedSeries:
         )
 
     def __mul__(self, other):
+        """Schoolbook product: c_m = sum_i a_i b_{m-i}."""
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_compatible(other)
-        out = _product([c.terms for c in self.coeffs], [c.terms for c in other.coeffs], self.nvars)
-        return TruncatedSeries(self.order, self.nvars, [MPoly(self.nvars, t) for t in out])
+        out = [{} for _ in self.coeffs]
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs[: self.order + 1 - i]):
+                _add_product(out[i + j], a.terms, b.terms)
+        return self._from_terms(out)
 
     def __pow__(self, exponent: int):
         """Power by J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
-        O(order^2) products for any exponent.  The constant coefficient must
-        be a single nonzero term."""
-        base = _miller_base(self)
-        scale, b0, shift, g = _power_numerators(self, exponent, base)
-        return self._from_numerators(g, scale, b0, shift, base)
+        m a_0 b_m = sum_{j=1..m} ((exponent + 1) j - m) a_j b_{m-j}, O(order^2)
+        products for any exponent.  The constant coefficient a_0 must be a
+        single nonzero term, so dividing by it shifts exponents."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError("exponent must be a natural number")
+        if len(self.coeffs[0].terms) != 1:
+            raise ValueError("the constant coefficient must be a single nonzero term")
+        ((lead, c0),) = self.coeffs[0].terms.items()
+        inverse = {tuple(-e for e in lead): 1 / c0}
+        b = [{tuple(exponent * e for e in lead): c0**exponent}]
+        for m in range(1, self.order + 1):
+            acc, bm = {}, {}
+            for j in range(1, m + 1):
+                _add_product(acc, self.coeffs[j].terms, b[m - j], (exponent + 1) * j - m)
+            _add_product(bm, acc, inverse, Fraction(1, m))
+            b.append(bm)
+        return self._from_terms(b)
 
     def exp(self) -> "TruncatedSeries":
         """exp of a series with zero constant term: (exp a)' = a' exp a gives
-        m b_m = sum_j j a_j b_{m-j}."""
-        base = _miller_base(self)
-        scale, g = _exp_numerators(self, base)
-        return self._from_numerators(g, scale, Fraction(1), (0,) * self.nvars, base)
+        m b_m = sum_{j=1..m} j a_j b_{m-j}."""
+        if not self.coeffs[0].is_zero():
+            raise ValueError("exp requires a zero constant term")
+        b = [{(0,) * self.nvars: Fraction(1)}]
+        for m in range(1, self.order + 1):
+            acc = {}
+            for j in range(1, m + 1):
+                _add_product(acc, self.coeffs[j].terms, b[m - j], Fraction(j, m))
+            b.append(acc)
+        return self._from_terms(b)
 
-    def _from_numerators(self, g, scale, b0, shift, base):
-        """The series b_m = b0 * u^shift * g_m / (m! * scale^m), g_m keyed in
-        base ``base``: one Fraction per term."""
-        coeffs = []
-        c = b0
-        for m, gm in enumerate(g):
-            gm = MPoly._of(self.nvars, _unpacked(gm, base, self.nvars))
-            coeffs.append(gm * MPoly(self.nvars, {shift: c}))
-            c /= (m + 1) * scale
-        return TruncatedSeries(self.order, self.nvars, coeffs)
+    def _from_terms(self, term_dicts):
+        """The series of this order and variable count with these z^m term
+        dicts (zero coefficients dropped)."""
+        return TruncatedSeries(self.order, self.nvars, [MPoly(self.nvars, t) for t in term_dicts])
 
     def __repr__(self):
         return "TruncatedSeries(%d, %d, %r)" % (self.order, self.nvars, self.coeffs)
 
 
-def _pack(exps, base):
-    """The exponent tuple as balanced base-``base`` digits, u_1's lowest: keys
-    add as their tuples do while every entry stays within +-(base // 2)."""
-    key = 0
-    for e in reversed(exps):
-        key = key * base + e
-    return key
-
-
-def _columns(keys, base, nvars, variables=None):
-    """The exponents of the packed keys, one list per variable index in
-    ``variables`` (default all of u_1..u_nvars, 0-based): adding ``half`` to
-    every digit leaves plain base-``base`` digits to read off."""
-    variables = range(nvars) if variables is None else variables
-    if not variables:
-        return []
-    half = base // 2
-    offset = _pack((half,) * nvars, base)
-    keys = [key + offset for key in keys]
-    return [[key // p % base - half for key in keys] for p in (base**i for i in variables)]
-
-
-def _unpacked(terms, base, nvars):
-    """The term dict with its packed keys turned back into exponent tuples."""
-    exps = zip(*_columns(terms, base, nvars)) if nvars else [()] * len(terms)
-    return dict(zip(exps, terms.values()))
-
-
-def _max_exponent(term_dicts):
-    """Largest |exponent| in the tuple-keyed term dicts (0 if there is none)."""
-    return max((max(map(abs, e), default=0) for terms in term_dicts for e in terms), default=0)
-
-
-def _product(a, b, nvars):
-    """Tuple-keyed term dicts of the truncated product of the series whose
-    z^k coefficients are the term dicts a[k] and b[k]."""
-    base = 2 * (_max_exponent(a) + _max_exponent(b)) + 1
-    a, b = ([{_pack(e, base): c for e, c in t.items()} for t in x] for x in (a, b))
-    out = [{} for _ in a]
-    for i, ai in enumerate(a):
-        for j in range(len(a) - i):
-            _mul_into(out[i + j], ai, b[j])
-    return [_unpacked(t, base, nvars) for t in out]
-
-
-def _miller_base(*series):
-    """Key base for Miller's recurrence on these series: a term sums <= order
-    exponent tuples of a_j (exp) or a_j / a_0 (power), each within 2 max|e|."""
-    bound = 2 * series[0].order * _max_exponent(c.terms for s in series for c in s.coeffs)
-    return 2 * bound + 1
-
-
-def _numerators(coeffs, base):
-    """(D, A) with A_j = D * coeffs_j integer-valued and D the lcm of every
-    denominator; coeffs are dicts {exps: Fraction}, A_j dicts {key: int} in
-    base ``base``."""
-    scale = math.lcm(*(c.denominator for a in coeffs for c in a.values()))
-    return scale, [{_pack(e, base): int(c * scale) for e, c in a.items()} for a in coeffs]
-
-
-def _mul_into(acc, a, b, factor=1):
-    """acc += factor * a * b for term dicts {packed key: coeff}, int or Fraction."""
+def _add_product(acc, a, b, factor=1):
+    """acc += factor * a * b for tuple-keyed term dicts."""
     for e1, c1 in a.items():
-        if factor != 1:
-            c1 *= factor
-        for key, c in b.items():
-            key += e1
-            c *= c1
-            if key in acc:
-                acc[key] += c
-            else:
-                acc[key] = c
-
-
-def _miller(a, scale, order, weight, shift, base):
-    """g_0..g_order of the fraction-free Miller recurrence
-
-        g_0 = 1,  g_m = sum_{j=1..m} weight(j, m) (m-1)!/(m-j)! D^{j-1} A_j g_{m-j},
-
-    where the integer dicts A_j = a[j] encode alpha_j = A_j / D (D = scale)
-    and the solution of m beta_m = sum_j weight(j, m) alpha_j beta_{m-j},
-    beta_0 = 1, is beta_m = g_m / (m! D^m), all keyed in base ``base``.
-    Exponents may be negative (alpha_j = a_j / a_0 shifts by the lead
-    monomial), but u^shift * g_m must be a polynomial: a term left with a
-    negative exponent means a_0 did not divide the sum, and raises
-    ValueError.  Only the variables some A_j term or the shift makes
-    negative are decoded for that check; a g_m key sums A_j keys, so no
-    other variable can fire it (the exp recurrence decodes none, the path
-    power only u_2)."""
-    nvars = len(shift)
-    lows = [min(col, default=0) for col in _columns([key for aj in a for key in aj], base, nvars)]
-    checked = [i for i in range(nvars) if lows[i] < 0 or shift[i] < 0]
-    shifts = [shift[i] for i in checked]
-    g = [{0: 1}]
-    for m in range(1, order + 1):
-        acc = {}
-        falling = 1  # (m-1)!/(m-j)! * D^{j-1}
-        for j in range(1, m + 1):
-            w = weight(j, m) * falling
-            if w and a[j]:
-                _mul_into(acc, a[j], g[m - j], w)
-            falling *= (m - j) * scale
-        gm = {e: c for e, c in acc.items() if c}
-        for column, s in zip(_columns(gm, base, nvars, checked), shifts):
-            if min(column, default=0) + s < 0:
-                raise ValueError("a_0 does not divide the sum at z^%d" % m)
-        g.append(gm)
-    return g
-
-
-def _exp_numerators(series: TruncatedSeries, base):
-    """(D, g) with [z^m] exp(series) = g_m / (m! D^m): Miller's recurrence on
-    alpha_j = j a_j with weight 1, D the lcm of their denominators."""
-    if not series.coeffs[0].is_zero():
-        raise ValueError("exp requires a zero constant term")
-    alpha = [{e: j * c for e, c in a.terms.items()} for j, a in enumerate(series.coeffs)]
-    scale, ints = _numerators(alpha, base)
-    return scale, _miller(ints, scale, series.order, lambda j, m: 1, (0,) * series.nvars, base)
-
-
-def _power_numerators(series: TruncatedSeries, exponent: int, base):
-    """(D, b0, shift, g) with [z^m] series**exponent = b0 u^shift g_m / (m! D^m),
-    where a_0 = c0 u^lead, b0 = c0^exponent, shift = exponent * lead: Miller's
-    recurrence on alpha_j = a_j / a_0 with weight (exponent + 1) j - m."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError("exponent must be a natural number")
-    if len(series.coeffs[0].terms) != 1:
-        raise ValueError("the constant coefficient must be a single nonzero term")
-    ((lead, c0),) = series.coeffs[0].terms.items()
-    alpha = [
-        {tuple(map(operator.sub, e, lead)): c / c0 for e, c in a.terms.items()} for a in series.coeffs
-    ]
-    scale, ints = _numerators(alpha, base)
-    shift = tuple(e * exponent for e in lead)
-    k1 = exponent + 1
-    g = _miller(ints, scale, series.order, lambda j, m: k1 * j - m, shift, base)
-    return scale, c0**exponent, shift, g
-
-
-def product_coefficient(cyc: TruncatedSeries, path: TruncatedSeries, k: int, scale) -> MPoly:
-    """scale * [z^n] exp(cyc) * path**k, n the common order, without forming
-    either series.  Miller's recurrence gives [z^i] exp(cyc) = gE_i / (i! D_E^i)
-    and [z^j] path**k = b0 u^shift gP_j / (j! D_P^j), so the coefficient is
-
-        b0 u^shift sum_i C(n, i) D_E^{n-i} D_P^i gE_i gP_{n-i} / (n! (D_E D_P)^n):
-
-    O(n) integer polynomial products on packed keys.  The integer sum is
-    wrapped as an MPoly with int coefficients (zeros dropped) and multiplied
-    by the monomial scale b0 u^shift / (n! (D_E D_P)^n), which forms each
-    output term's one Fraction with one gcd."""
-    cyc._check_compatible(path)
-    n = cyc.order
-    base = _miller_base(cyc, path)
-    de, ge = _exp_numerators(cyc, base)
-    dp, b0, shift, gp = _power_numerators(path, k, base)
-    acc = {}
-    for i in range(n + 1):
-        _mul_into(acc, ge[i], gp[n - i], math.comb(n, i) * de ** (n - i) * dp**i)
-    c = b0 * as_fraction(scale) / (math.factorial(n) * (de * dp) ** n)
-    acc = MPoly._of(cyc.nvars, _unpacked({e: x for e, x in acc.items() if x}, base, cyc.nvars))
-    return acc * MPoly(cyc.nvars, {shift: c})
+        c1 *= factor
+        for e2, c2 in b.items():
+            key = tuple(map(operator.add, e1, e2))
+            acc[key] = acc.get(key, 0) + c1 * c2
 
 
 def build_path_series(q: int, order: int) -> TruncatedSeries:

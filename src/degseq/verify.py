@@ -11,7 +11,6 @@ verdicts do not depend on the machine.
 from __future__ import annotations
 
 import math
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ from .exact import (
 )
 from .sampler import (
     acceptance_limit,
+    available_cpus,
     census,
     census_rows,
     compensation_factor,
@@ -63,14 +63,6 @@ SEED_POISSON = 7
 SEED_STRUCTURE = 29
 SEED_GOF_SIMPLE = 3
 SEED_GOF_MULTI = {(2, 4): 13, (4, 3): 17}
-
-
-def _workers() -> int:
-    """CPUs this process may run on (all CPUs where the platform has no
-    affinity call): the Monte Carlo checks' worker count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 @dataclass
@@ -207,7 +199,7 @@ def check_gaussian_limit() -> dict:
     limit (not part of the verdict)."""
     p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="simple")
     law = limit_law(1.0, 4, "simple")
-    workers = _workers()
+    workers = available_cpus()
     result = run_experiment(p, 20000, seed=SEED_GAUSSIAN, workers=workers)
     v = standardize(result.counts, law, p.n1)
     report = moment_report(v, p.n1, p.n2)
@@ -231,7 +223,7 @@ def check_poisson_limit() -> dict:
     """Loop counts at n1=2000, N=20000 match Poisson(1/4)."""
     p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="multigraph")
     lam = limit_law(1.0, 4, "multigraph").poisson_lambda
-    workers = _workers()
+    workers = available_cpus()
     result = run_experiment(p, 20000, seed=SEED_POISSON, workers=workers)
     verdict = poisson_check(result.counts[:, 0], lam)
     return {"passed": verdict.passed, "seed": SEED_POISSON, "workers": workers, **verdict.details}
@@ -295,7 +287,7 @@ def check_small_instance_distributions() -> dict:
     """Sampled censuses of run_experiment match the exact laws: rejection
     sampling at (4,4) against the census PMF, pairings against the matching
     oracle."""
-    workers = _workers()
+    workers = available_cpus()
     results = {"workers": workers}
     p = GraphClassParams(4, 4, q=8)
     observed = _sampled_census_counts(p, SEED_GOF_SIMPLE, workers)

@@ -7,7 +7,7 @@ from degseq.series import MPoly, TruncatedSeries
 
 def _mul_into(acc, a, b, factor):
     """acc += factor * a * b on tuple-keyed term dicts: the oracle's own
-    product, apart from the package's packed-key one."""
+    product, apart from the package's."""
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             key = tuple(x + y for x, y in zip(e1, e2))

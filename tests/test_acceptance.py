@@ -5,7 +5,7 @@ or via `degseq verify`.
 
 import pytest
 
-from degseq import verify
+from degseq import sampler, verify
 
 
 @pytest.mark.parametrize("number,name", [(c[0], c[1]) for c in verify.CHECKS])
@@ -14,4 +14,4 @@ def test_acceptance_criterion(number, name):
     print(result.line())
     assert result.passed, "criterion %d (%s) failed: %s" % (number, name, result.details)
     if number in (8, 9, 11):  # the Monte Carlo checks run on every CPU the process may use
-        assert result.details["workers"] == verify._workers()
+        assert result.details["workers"] == sampler.available_cpus()

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq.errors import EmptyClassError
@@ -232,28 +232,42 @@ def weighted_instance_st(draw):
 @given(weighted_instance_st())
 @settings(max_examples=80, deadline=None)
 def test_graph_gf_value_matches_multivariate_census(instance):
-    # the multivariate census runs exp and the path power on Miller's
-    # recurrence, so it is an independent reference for the D-finite one
+    # the multivariate census is the closed form, which shares no
+    # recurrence with the D-finite one
     p, u = instance
     expected = graph_gf(p).poly.evaluate([1] * p.q if u is None else u)
     assert graph_gf_value(p, u) == expected
 
 
 @given(
-    st.integers(0, 6),
     st.integers(0, 12),
-    st.integers(2, 6),
+    st.integers(0, 12),
+    st.integers(2, 8),
     st.sampled_from(("simple", "multigraph")),
 )
-@settings(max_examples=60, deadline=None)
-def test_graph_gf_matches_series_api(half_n1, n2, q, model):
-    # checks graph_gf's z^{n2} convolution of the integer numerators and its
-    # final scaling against the full series product; both sides share
-    # series._miller, which test_pow_matches_repeated_product and
-    # test_exp_log_round_trip check independently
-    p = GraphClassParams(2 * half_n1, n2, q=q, model=model)
-    series = build_cycle_series(q, n2, model).exp() * build_path_series(q, n2) ** half_n1
-    assert graph_gf(p).poly == series.coeffs[n2] * v_factor(p.n1, n2)
+@example(0, 9, 3, "simple")  # cycles only: only t = 0
+@example(0, 7, 4, "multigraph")
+@example(0, 2, 2, "simple")  # empty class
+@example(8, 0, 3, "simple")  # paths of two vertices only
+@example(6, 0, 2, "multigraph")
+@example(4, 3, 9, "simple")  # q > n1 + n2
+@example(6, 3, 9, "multigraph")  # loops and q > n1 + n2
+@example(4, 6, 3, "multigraph")  # loops, double edges and longer cycles
+@example(3, 4, 3, "simple")  # odd n1: empty class
+@example(5, 2, 9, "multigraph")
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_graph_gf_matches_series_api(n1, n2, q, model):
+    # the closed form term for term against an independent reference, the
+    # series algebra (the exp recurrence, Miller's power, the schoolbook
+    # product)
+    census = graph_gf(GraphClassParams(n1, n2, q=q, model=model))
+    if n1 % 2:
+        expected = MPoly.zero(q)
+    else:
+        series = build_cycle_series(q, n2, model).exp() * build_path_series(q, n2) ** (n1 // 2)
+        expected = series.coeffs[n2] * v_factor(n1, n2)
+    assert census.poly == expected
+    assert census.total == census.poly.coefficient_sum()
 
 
 def test_graph_gf_value_rejects_bad_weights():

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from degseq.series import (
     MPoly,
     TruncatedSeries,
-    _miller,
-    _pack,
-    _product,
-    _unpacked,
+    _add_product,
     build_cycle_series,
     build_path_series,
-    product_coefficient,
 )
 from oracles import series_log
 
@@ -109,56 +105,6 @@ def test_pow_rejects_lowest_coefficient_with_several_terms():
     a = TruncatedSeries(3, 2, [lead, MPoly.one(2), MPoly.zero(2), MPoly.zero(2)])
     with pytest.raises(ValueError):
         a**2
-
-
-def test_miller_rejects_a_term_left_with_a_negative_exponent():
-    # a_0 must divide every b_m; the check is a ValueError, so python -O
-    # keeps it.  _miller runs on packed keys, so its calls go through the
-    # codec (base 3 holds exponents -1..1)
-    a = [{}, {(-1, 0): 1}]
-    packed = [{_pack(e, 3): c for e, c in t.items()} for t in a]
-    with pytest.raises(ValueError, match="does not divide"):
-        _miller(packed, 1, 1, lambda j, m: 1, (0, 0), 3)
-    g = _miller(packed, 1, 1, lambda j, m: 1, (1, 0), 3)
-    assert [_unpacked(t, 3, 2) for t in g] == [{(0, 0): 1}, {(-1, 0): 1}]
-
-
-def test_miller_checks_every_variable_an_input_or_the_shift_can_lower():
-    # u_2 is negative in A_1 alone; then a negative shift entry on
-    # nonnegative inputs, which no A_j term can make negative
-    packed = [{}, {_pack((0, -1), 3): 1}]
-    with pytest.raises(ValueError, match="does not divide"):
-        _miller(packed, 1, 1, lambda j, m: 1, (0, 0), 3)
-    assert _miller(packed, 1, 1, lambda j, m: 1, (0, 1), 3)[1] == packed[1]
-    packed = [{}, {_pack((1, 0), 3): 1}]
-    with pytest.raises(ValueError, match="does not divide"):
-        _miller(packed, 1, 1, lambda j, m: 1, (0, -1), 3)
-
-
-@pytest.mark.parametrize("q", range(2, 11))
-def test_packed_keys_round_trip_at_the_extreme_digits(q):
-    # at (n1, n2) = (40, 40) the path power's u_2 exponent reaches -n2 before
-    # the shift, and no exponent exceeds the n1/2 + n2 components
-    n2, bound = 40, 20 + 40
-    base = 2 * bound + 1
-    extremes = (-bound, -n2, -1, 0, 1, n2, bound)
-    tuples = {tuple(extremes[(i + s) % len(extremes)] for i in range(q)) for s in range(7)}
-    tuples |= {(-bound,) * q, (bound,) * q, (0, -n2) + (bound,) * (q - 2)}
-    assert _unpacked({_pack(e, base): e for e in tuples}, base, q) == {e: e for e in tuples}
-    for e1 in tuples:
-        for e2 in tuples:
-            total = tuple(x + y for x, y in zip(e1, e2))
-            if max(map(abs, total)) <= bound:
-                key = _pack(e1, base) + _pack(e2, base)
-                assert _unpacked({key: 1}, base, q) == {total: 1}
-
-
-@given(st.integers(0, 10), st.integers(0, 200), st.data())
-def test_packed_keys_round_trip(q, bound, data):
-    exps = st.tuples(*[st.integers(-bound, bound)] * q)
-    terms = {e: 1 for e in data.draw(st.lists(exps, max_size=20))}
-    base = 2 * bound + 1
-    assert _unpacked({_pack(e, base): 1 for e in terms}, base, q) == terms
 
 
 def test_build_path_patterns():
@@ -259,7 +205,7 @@ monomial_st = st.builds(
 )
 
 
-# the fast path's shift may carry negative exponents (a_j / a_0 does)
+# the one-term path also takes negative exponents (a Laurent monomial)
 signed_monomial_st = st.builds(
     lambda exps, coeff: MPoly(2, {exps: coeff}),
     st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
@@ -272,11 +218,14 @@ constant_st = fractions_st.map(lambda c: MPoly.constant(0, c))
     st.tuples(mpoly_st, signed_monomial_st),
     st.tuples(constant_st, constant_st.filter(lambda m: not m.is_zero())),
 ))
-def test_monomial_product_matches_the_packed_product(pair):
-    # MPoly * (one-term MPoly) shifts exponents instead of packing keys
+def test_monomial_product_matches_the_schoolbook_product(pair):
+    # MPoly * (one-term MPoly) shifts exponents instead of running the
+    # general product
     a, m = pair
     got = a * m
-    assert got == MPoly(a.nvars, _product([a.terms], [m.terms], a.nvars)[0])
+    schoolbook = {}
+    _add_product(schoolbook, a.terms, m.terms)
+    assert got == MPoly(a.nvars, schoolbook)
     assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
@@ -318,17 +267,6 @@ def test_operations_store_no_zero_coefficient(a, b, led, k):
     assert stores_no_zero_coefficient(shifted.exp())
     if not led.coeffs[0].is_zero():
         assert stores_no_zero_coefficient(led**k)
-
-
-@given(small_series_st, monomial_st, small_series_st, st.integers(0, 4), fractions_st)
-@settings(max_examples=40, deadline=None)
-def test_product_coefficient_matches_series_product(cyc, lead, path, k, scale):
-    # the reference forms both series through the Fraction wrappers and
-    # multiplies them in full; the power is the repeated product
-    cyc = series_from([MPoly.zero(2)] + cyc.coeffs[1:])
-    path = series_from([lead] + path.coeffs[1:])
-    expected = (cyc.exp() * repeated_product(path, k)).coeffs[cyc.order] * scale
-    assert product_coefficient(cyc, path, k, scale) == expected
 
 
 @given(mpoly_st)
