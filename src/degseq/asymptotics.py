@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .exact import check_counts
+from .exact import check_alpha, check_counts
 from .series import check_model, check_q
 
 FD_STEP = 1e-5
@@ -40,11 +40,6 @@ def _as_weights(u, q=None) -> list:
     if not np.all((w > 0) & (w < math.inf)):
         raise DomainError("weights must be positive and finite")
     return w.tolist()
-
-
-def _check_alpha(alpha: float) -> None:
-    if not 0 < alpha < math.inf:
-        raise DomainError("alpha must be positive and finite")
 
 
 def path_value(z, u, k: int = 0):
@@ -95,7 +90,7 @@ def solve_zeta(alpha: float, u) -> float:
     the slope ~alpha(1+alpha)/zeta makes one ulp of zeta move the residual
     past it.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     w = _as_weights(u)
     return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, 1e-13, 1.0 - 1e-13)
 
@@ -322,7 +317,7 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
 def _ratios(alpha: float, q: int):
     """r = alpha/(1+alpha) and s = 1/(1+alpha), both in [0, 1], so powers of
     them neither overflow nor turn into inf/inf for any finite alpha > 0."""
-    _check_alpha(alpha)
+    check_alpha(alpha)
     check_q(q)
     return alpha / (1.0 + alpha), 1.0 / (1.0 + alpha)
 
@@ -416,28 +411,16 @@ def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:
 
 def central_hessian(f, x) -> np.ndarray:
     """Central finite-difference Hessian with step FD_STEP, the independent
-    oracle for the closed-form covariance."""
+    oracle for the closed-form covariance; each row of np.eye(n) * FD_STEP
+    steps one coordinate, adding exact zeros to the rest."""
     h = FD_STEP
     x = np.asarray(x, dtype=float)
-    n = x.size
-    out = np.empty((n, n))
+    steps = np.eye(x.size) * h
+    out = np.empty((x.size, x.size))
     f0 = f(x)
-    for i in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i, i] = (f(xp) - 2.0 * f0 + f(xm)) / (h * h)
-        for j in range(i + 1, n):
-            xpp = x.copy()
-            xpm = x.copy()
-            xmp = x.copy()
-            xmm = x.copy()
-            xpp[[i, j]] += h
-            xmm[[i, j]] -= h
-            xpm[i] += h
-            xpm[j] -= h
-            xmp[i] -= h
-            xmp[j] += h
-            out[i, j] = out[j, i] = (f(xpp) - f(xpm) - f(xmp) + f(xmm)) / (4.0 * h * h)
+    for i, a in enumerate(steps):
+        out[i, i] = (f(x + a) - 2.0 * f0 + f(x - a)) / (h * h)
+        for j, b in enumerate(steps[i + 1 :], i + 1):
+            value = f(x + a + b) - f(x + a - b) - f(x - a + b) + f(x - a - b)
+            out[i, j] = out[j, i] = value / (4.0 * h * h)
     return out

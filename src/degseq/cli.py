@@ -110,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_exact(args) -> int:
-    params = GraphClassParams(args.n1, args.n2, q=args.q, model=args.model)
+    params = _params(args)
     _write_text(census_json_text(params, graph_gf(params)), args.out)
     return 0
 
@@ -135,6 +135,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_asymptote(args) -> int:
+    from dataclasses import asdict
     from .asymptotics import _laplace_log_gf, _laplace_weights, contour_extract, saddle_data
 
     params = _params(args)
@@ -146,7 +147,7 @@ def _cmd_asymptote(args) -> int:
     weights = _laplace_weights(params, u)  # its checks come before params.alpha's
     sd = saddle_data(params.alpha, weights, args.model)
     payload = {
-        "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
+        "params": asdict(params),
         "u": u,
         "zeta": sd.zeta,
         "phi_second": sd.phi2,

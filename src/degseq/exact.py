@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -61,9 +61,8 @@ class GraphClassParams:
 
     @classmethod
     def from_alpha(cls, alpha: float, n1: int, q: int = 2, model: str = "simple"):
-        """Build the instance with n2 = floor(alpha * n1 / 2)."""
-        if not 0 < alpha < math.inf:
-            raise ValueError("alpha must be positive and finite")
+        """Build the instance with n2 = floor(alpha * n1 / 2), after check_alpha(alpha)."""
+        check_alpha(alpha)
         try:
             n2 = math.floor(alpha * n1 / 2)
         except OverflowError as exc:
@@ -113,6 +112,12 @@ def check_counts(n1: int, n2: int) -> None:
         raise DomainError("vertex counts must be nonnegative")
     if n1 % 2:
         raise DomainError("n1 must be even")
+
+
+def check_alpha(alpha: float) -> None:
+    """DomainError unless the degree-2 to path ratio alpha is positive and finite."""
+    if not 0 < alpha < math.inf:
+        raise DomainError("alpha must be positive and finite")
 
 
 def v_factor(n1: int, n2: int) -> Fraction:
@@ -410,31 +415,14 @@ def _tally(edge_lists, n: int, q: int, weight: Fraction) -> CensusPolynomial:
 
 
 def _stub_pairings(owners):
-    """Yield every perfect matching of the stub list as vertex pairs."""
-    k = len(owners)
-    used = [False] * k
-    pairs = []
-
-    def rec(count):
-        if count == k:
-            yield list(pairs)
-            return
-        i = 0
-        while used[i]:
-            i += 1
-        used[i] = True
-        for j in range(i + 1, k):
-            if used[j]:
-                continue
-            used[j] = True
-            pairs.append((owners[i], owners[j]))
-            yield from rec(count + 2)
-            pairs.pop()
-            used[j] = False
-        used[i] = False
-
-    if k % 2 == 0:
-        yield from rec(0)
+    """Yield every perfect matching of the stub list as vertex pairs: the
+    first stub pairs with each later stub in turn, then the rest are matched
+    (none for an odd count)."""
+    if not owners:
+        yield []
+    for i in range(1, len(owners)):
+        for pairs in _stub_pairings(owners[1:i] + owners[i + 1 :]):
+            yield [(owners[0], owners[i])] + pairs
 
 
 def brute_force_multigraph(params: GraphClassParams) -> CensusPolynomial:
@@ -484,7 +472,7 @@ def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
     template.  Raises EmptyClassError for an empty class."""
     pmf = census.pmf()  # sorted by exponent tuple
     head = {
-        "params": {"n1": params.n1, "n2": params.n2, "q": params.q, "model": params.model},
+        "params": asdict(params),
         "q": census.q,
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -90,13 +90,18 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     return StubMultigraph(n1, n2, tuple((a, b) if a <= b else (b, a) for a, b in zip(ends, ends)))
 
 
+def _check_nonempty(n1: int, n2: int, model: str) -> None:
+    """SamplingError, before any draw, if the class is empty."""
+    if class_is_empty(n1, n2, model):
+        raise SamplingError("empty class: no %s graph has n1=%d, n2=%d" % (model, n1, n2))
+
+
 def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: redraw pairings until there
     is no loop and no double edge.  Raises SamplingError, before drawing,
     if no simple graph has this degree profile."""
     check_counts(n1, n2)
-    if class_is_empty(n1, n2, "simple"):
-        raise SamplingError("no simple graph has n1=%d, n2=%d" % (n1, n2))
+    _check_nonempty(n1, n2, "simple")
     rng = np.random.default_rng(rng)
     while True:
         g = sample_multigraph(n1, n2, rng)
@@ -171,10 +176,10 @@ def compensation_factor(g: StubMultigraph) -> Fraction:
 def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     """Census of a block of graphs on vertices 0..n1+n2-1, where row r of the
     (rows, edges) arrays lo and hi holds the edge ends of graph r, in either
-    order.  Returns the (rows, q) matrix of U_1..U_q and the tail counts,
-    equal row for row to census() of each graph.  Raises StructuralError if
-    a row does not realize the degree profile (degree 1 on the first n1
-    vertices, 2 elsewhere).
+    order; they are put into (min, max) order once, for _contract.  Returns
+    the (rows, q) matrix of U_1..U_q and the tail counts, equal row for row to
+    census() of each graph.  Raises StructuralError if a row does not realize
+    the degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
 
     Once the profile holds, an edge joining two degree-1 vertices is a path
     of size 2, and every other degree-1 vertex hangs off the one degree-2
@@ -184,28 +189,28 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     component's size is its degree-2 vertices plus the degree-1 vertices
     that hang off them."""
     q = check_q(q)
-    return _tally(n2, q, *_contract(n1, n2, lo, hi))
+    return _tally(n2, q, *_contract(n1, n2, np.minimum(lo, hi), np.maximum(lo, hi)))
 
 
 def _contract(n1: int, n2: int, lo: np.ndarray, hi: np.ndarray):
-    """census_rows' checks, then the degree-2 part of its rows: the two ends
-    of each edge joining two degree-2 vertices, as vertex r*n2 + v - n1 of
-    the union for vertex v of row r, and each row's count of edges joining
-    two degree-1 vertices.  All vertex numbers are int64, whatever
-    rows*(n1+n2)."""
+    """census_rows' checks, then the degree-2 part of its rows, given each
+    edge's ends in (min, max) order as _endpoints and census_rows give them:
+    the two ends of each edge joining two degree-2 vertices, as vertex
+    r*n2 + v - n1 of the union for vertex v of row r, and each row's count of
+    edges joining two degree-1 vertices.  All vertex numbers are int64,
+    whatever rows*(n1+n2)."""
     n = n1 + n2
     rows = lo.shape[0]
-    if lo.size and (min(lo.min(), hi.min()) < 0 or max(lo.max(), hi.max()) >= n):
+    if lo.size and (lo.min() < 0 or hi.max() >= n):
         raise StructuralError("edge endpoint outside the vertex range")
     offset = (np.arange(rows, dtype=np.int64) * n)[:, None]
     ends = np.concatenate(((lo + offset).ravel(), (hi + offset).ravel()))
     degree = np.bincount(ends, minlength=rows * n).reshape(rows, n)
     if (degree[:, :n1] != 1).any() or (degree[:, n1:] != 2).any():
         raise StructuralError("edge endpoints do not match the degree profile")
-    a, b = np.minimum(lo, hi), np.maximum(lo, hi)
-    inner = np.flatnonzero(a >= n1)
+    inner = np.flatnonzero(lo >= n1)
     shift = inner // lo.shape[1] * n2 - n1
-    return a.ravel()[inner] + shift, b.ravel()[inner] + shift, np.count_nonzero(b < n1, axis=1)
+    return lo.ravel()[inner] + shift, hi.ravel()[inner] + shift, np.count_nonzero(hi < n1, axis=1)
 
 
 def _tally(n2: int, q: int, first: np.ndarray, second: np.ndarray, pairs: np.ndarray):
@@ -218,6 +223,7 @@ def _tally(n2: int, q: int, first: np.ndarray, second: np.ndarray, pairs: np.nda
     graph = coo_matrix(
         (np.ones(first.size, dtype=np.int8), (first, second)), shape=(rows * n2, rows * n2)
     )
+    # directed=False: scipy's strong-connection path hangs on a double edge's repeated CSR column
     n_comps, labels = connected_components(graph, directed=False)
     # V degree-2 vertices joined by E edges have 2V - 2E ends left over, one
     # per hanging degree-1 vertex: the component holds 3V - 2E vertices
@@ -329,10 +335,7 @@ def run_experiment(
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if class_is_empty(params.n1, params.n2, params.model):  # odd n1 included
-        raise SamplingError(
-            "empty class: no %s graph has n1=%d, n2=%d" % (params.model, params.n1, params.n2)
-        )
+    _check_nonempty(params.n1, params.n2, params.model)  # odd n1 included
     n_chunks = -(-n_reps // CHUNK_REPS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(CHUNK_REPS, n_reps - CHUNK_REPS * c) for c in range(n_chunks)]
@@ -375,6 +378,6 @@ def sidecar_metadata(result: ExperimentResult) -> dict:
         "n_reps": result.n_reps,
         "chunk_reps": CHUNK_REPS,
         "pairings_examined": result.pairings_examined,
-        "params": {"n1": p.n1, "n2": p.n2, "q": p.q, "model": p.model},
+        "params": asdict(p),
         "columns": _csv_columns(p.q),
     }

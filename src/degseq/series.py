@@ -114,20 +114,6 @@ class MPoly:
         den, nums = self.numerators()
         return Fraction(sum(nums.values()), den)
 
-    def evaluate(self, values):
-        """Evaluate at a length-nvars point; exact for Fraction inputs, float
-        for float inputs."""
-        if len(values) != self.nvars:
-            raise ValueError("expected %d values, got %d" % (self.nvars, len(values)))
-        total = None
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for value, e in zip(values, exps):
-                if e:
-                    term = term * value**e
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
-
     def _check_compatible(self, other: "MPoly"):
         if self.nvars != other.nvars:
             raise ValueError("variable-count mismatch: %d vs %d" % (self.nvars, other.nvars))

@@ -14,6 +14,21 @@ def _mul_into(acc, a, b, factor):
             acc[key] = acc.get(key, 0) + factor * c1 * c2
 
 
+def evaluate(poly, values):
+    """Value of an MPoly at a length-nvars point; exact for Fraction inputs,
+    float for float inputs."""
+    if len(values) != poly.nvars:
+        raise ValueError("expected %d values, got %d" % (poly.nvars, len(values)))
+    total = None
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for value, e in zip(values, exps):
+            if e:
+                term = term * value**e
+        total = term if total is None else total + term
+    return Fraction(0) if total is None else total
+
+
 def series_log(a):
     """log of a series with constant term 1, by the inverse recurrence of
     exp: m c_m = m a_m - sum_{k<m} k c_k a_{m-k}."""

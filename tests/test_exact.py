@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degseq.errors import EmptyClassError
+from degseq.errors import DomainError, EmptyClassError
 from degseq.exact import (
     EXACT_SIZE_LIMIT,
     VALUE_SIZE_LIMIT,
@@ -23,7 +23,7 @@ from degseq.exact import (
     v_factor,
 )
 from degseq.series import MPoly, build_cycle_series, build_path_series
-from oracles import pmf_moments
+from oracles import evaluate, pmf_moments
 
 F = Fraction
 
@@ -161,14 +161,14 @@ def test_labelled_path_counts(k):
 def test_graph_gf_value_matches_poly_evaluation():
     p = GraphClassParams(4, 3, q=4)
     u = [F(1), F(11, 10), F(9, 10), F(2)]
-    assert graph_gf_value(p, u) == graph_gf(p).poly.evaluate(u)
+    assert graph_gf_value(p, u) == evaluate(graph_gf(p).poly, u)
 
 
 def test_graph_gf_value_with_zero_u2_matches_poly_evaluation():
     # u_2 = 0 makes N = (1-z) Path start at z^1, so the recurrence cannot
     # divide by N_0 and runs on N / z instead
     p = GraphClassParams(6, 4, q=3)
-    assert graph_gf_value(p, [1, 0, 1]) == graph_gf(p).poly.evaluate([1, 0, 1])
+    assert graph_gf_value(p, [1, 0, 1]) == evaluate(graph_gf(p).poly, [1, 0, 1])
 
 
 TILTED = (1, F(11, 10), F(9, 10), F(21, 20))
@@ -235,7 +235,7 @@ def test_graph_gf_value_matches_multivariate_census(instance):
     # the multivariate census is the closed form, which shares no
     # recurrence with the D-finite one
     p, u = instance
-    expected = graph_gf(p).poly.evaluate([1] * p.q if u is None else u)
+    expected = evaluate(graph_gf(p).poly, [1] * p.q if u is None else u)
     assert graph_gf_value(p, u) == expected
 
 
@@ -403,6 +403,18 @@ def test_params_accept_numpy_integers():
 def test_params_from_alpha_rejects_non_finite(alpha):
     with pytest.raises(ValueError):
         GraphClassParams.from_alpha(alpha, 10)
+
+
+@pytest.mark.parametrize("alpha", (0.0, -1.0, float("nan"), float("inf")))
+def test_params_from_alpha_raises_the_limit_law_domain_error(alpha):
+    # one alpha check for the instance builder and the numeric pipeline
+    from degseq.asymptotics import limit_law
+
+    with pytest.raises(DomainError) as law:
+        limit_law(alpha, 2)
+    with pytest.raises(DomainError) as params:
+        GraphClassParams.from_alpha(alpha, 10)
+    assert str(params.value) == str(law.value)
 
 
 @pytest.mark.parametrize("alpha, n1", ((1e308, 4), (1.0, 10**400)))

@@ -180,14 +180,15 @@ def test_sample_simple_triangle_only_outcome():
 
 
 def test_sample_simple_empty_class_raises():
-    # the closed-form emptiness test answers before any draw
+    # the closed-form emptiness test answers before any draw, with one
+    # message for the single-graph sampler and the experiment
     for n2 in (1, 2):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="empty class"):
             sample_simple(0, n2, rng)
         assert rng.bit_generator.state == state
-        with pytest.raises(SamplingError):
+        with pytest.raises(SamplingError, match="empty class"):
             run_experiment(GraphClassParams(0, n2), 5, seed=1)
     with pytest.raises(ValueError):
         sample_simple(3, 1, 1)
@@ -334,10 +335,16 @@ def test_acceptance_matches_closed_form():
 def test_census_rows_rejects_forged_degree_profile():
     # n1 = 2, n2 = 1: the path 0-2-1 passes; next to it, a row with the edge
     # 0-2 and a loop at 2 (degrees 1, 0, 3) fails, and so does a row naming
-    # vertex 3
+    # vertex 3, in hi or in lo, or vertex -1 in hi: ends come in either order
     good = (np.array([[0, 1]]), np.array([[2, 2]]))
     assert [a.tolist() for a in census_rows(2, 1, 2, *good)] == [[[0, 0]], [1]]
-    for lo, hi in (([[0, 1], [0, 2]], [[2, 2], [2, 2]]), ([[0, 1]], [[2, 3]])):
+    forged = (
+        ([[0, 1], [0, 2]], [[2, 2], [2, 2]]),
+        ([[0, 1]], [[2, 3]]),
+        ([[0, 3]], [[2, 2]]),
+        ([[0, 1]], [[2, -1]]),
+    )
+    for lo, hi in forged:
         with pytest.raises(StructuralError):
             census_rows(2, 1, 2, np.array(lo), np.array(hi))
 
