@@ -14,7 +14,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import Counter
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,8 +27,8 @@ from .unionfind import UnionFind
 SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # graph_gf bound on n1 + n2.  Its time follows the number of census terms,
 # which grows steeply with q, and more in the multigraph model: on a 2-vCPU
-# host at n1 + n2 = 800, q = 2 takes 0.12 s at (400, 400) simple and 24 s
-# multigraph, q = 3 takes 5.7 s at (400, 400) and q = 4 8.5 s at (4, 796).
+# host at n1 + n2 = 800, q = 2 takes 0.09 s at (400, 400) simple and 21 s
+# multigraph, q = 3 takes 4.7 s at (400, 400) and q = 4 8.1 s at (4, 796).
 EXACT_SIZE_LIMIT = 800
 # graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
 # host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).
@@ -79,31 +81,43 @@ class GraphClassParams:
 
 @dataclass(frozen=True)
 class CensusPolynomial:
-    """Joint census polynomial: the coefficient of u_1^{m_1}..u_q^{m_q} is the
-    number of graphs (simple) or the total pairing mass (multigraph) with m_j
-    components of size j."""
+    """Joint census polynomial in integer form: the coefficient of u^e is
+    scale * counts[e], the number of graphs (simple) or the total pairing
+    mass (multigraph) with e_j components of size j.  The constructor divides
+    the gcd of the positive int counts into scale, so == compares polynomials;
+    the zero polynomial has no counts and scale 0.  ``poly`` (an MPoly) and
+    ``total`` (the coefficient sum) are built on first use."""
 
-    poly: MPoly
-    total: Fraction
+    q: int
+    counts: dict
+    scale: Fraction
+
+    def __post_init__(self):
+        content = math.gcd(*self.counts.values())  # 0 for the zero polynomial
+        object.__setattr__(self, "counts", {e: a // content for e, a in self.counts.items()})
+        object.__setattr__(self, "scale", self.scale * content)
 
     @property
     def is_empty(self) -> bool:
-        return self.total == 0
+        return not self.counts
 
-    @property
-    def q(self) -> int:
-        return self.poly.nvars
+    def _times(self, c) -> MPoly:
+        return MPoly._of(self.q, self.counts) * MPoly.constant(self.q, c)
+
+    @cached_property
+    def poly(self) -> MPoly:
+        return self._times(self.scale)
+
+    @cached_property
+    def total(self) -> Fraction:
+        return self.scale * sum(self.counts.values())
 
     def pmf(self) -> dict:
-        """Joint law of the census vector, keyed by sorted exponent tuple;
-        values sum to 1.  Each row is a_i / T in one gcd, with a_i the term's
-        numerator over the common denominator and T = sum a_i.  Raises
-        EmptyClassError for the zero polynomial."""
+        """Joint law of the census vector, keyed by sorted exponent tuple:
+        each count over their sum.  EmptyClassError for the zero polynomial."""
         if self.is_empty:
             raise EmptyClassError("empty class: the census polynomial is zero")
-        _, nums = self.poly.numerators()
-        total = sum(nums.values())
-        return {exps: Fraction(a, total) for exps, a in sorted(nums.items())}
+        return dict(sorted(self._times(Fraction(1, sum(self.counts.values()))).terms.items()))
 
 
 def check_counts(n1: int, n2: int) -> None:
@@ -170,8 +184,8 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
     for a size that may be a path or a cycle, 2j x for a path only (size 2,
     simple) and 1 for loops.  The terms are found depth first over e_q, e_{q-1},
     ..., cutting each branch that no completion makes feasible (W + (q+1) t
-    <= n), and each term's integer sum gets its one Fraction in the product
-    with the monomial v_factor / (D L), L the lcm of the term denominators.
+    <= n); over L, the lcm of the term denominators, each term's integer sum
+    is its count and v_factor / (D L) the scale, with no Fraction per term.
 
     Odd n1 yields the zero polynomial (the class is empty: every path uses two
     degree-1 endpoints).  Raises ValueError, before any work, when n1 + n2
@@ -181,7 +195,7 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
         raise ValueError("graph_gf bound n1+n2 <= %d exceeded" % EXACT_SIZE_LIMIT)
     q, n2 = params.q, params.n2
     if params.n1 % 2:
-        return CensusPolynomial(MPoly.zero(q), Fraction(0))
+        return CensusPolynomial(q, {}, Fraction(0))
     k, n = params.n1 // 2, params.n1 + n2
     first = check_model(params.model)
     scale, rows = _unmarked_rows(n2, k, q, max(q + 1, first))
@@ -246,9 +260,7 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
         last(0, 0, [1], 1)
     den = math.lcm(*(d for _, d in found.values()))
     nums = {exps: total * (den // d) for exps, (total, d) in found.items()}
-    c = v_factor(params.n1, n2) / (scale * den)
-    poly = MPoly._of(q, nums) * MPoly(q, {(0,) * q: c})
-    return CensusPolynomial(poly, sum(nums.values()) * c)
+    return CensusPolynomial(q, nums, v_factor(params.n1, n2) / (scale * den))
 
 
 def _times_one_minus_z(coeffs):
@@ -406,12 +418,9 @@ def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
 def _tally(edge_lists, n: int, q: int, weight: Fraction) -> CensusPolynomial:
     """Census polynomial of graphs on vertices 0..n-1, given by their edge
     lists, each contributing ``weight`` to its census monomial."""
-    counts = {}
-    for edges in edge_lists:
-        key = census_exponents(UnionFind(n, edges).component_sizes(), q)
-        counts[key] = counts.get(key, 0) + 1
-    poly = MPoly(q, {k: weight * v for k, v in counts.items()})
-    return CensusPolynomial(poly, poly.coefficient_sum())
+    counts = Counter(census_exponents(UnionFind(n, edges).component_sizes(), q)
+                     for edges in edge_lists)
+    return CensusPolynomial(q, counts, weight)
 
 
 def _stub_pairings(owners):
@@ -467,20 +476,24 @@ _TERM = '    {\n      "%s": [\n        %s\n      ],\n      "num": %s,\n      "de
 def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
     """The ``degseq exact`` output: ``json.dumps(payload, indent=2) + "\\n"``
     of {params, q, total, polynomial (as in census_to_json), pmf (the
-    {counts, num, den} rows of census.pmf())}, at a fraction of the cost: the
-    indented encoder is pure Python, so the terms are laid out from a
-    template.  Raises EmptyClassError for an empty class."""
-    pmf = census.pmf()  # sorted by exponent tuple
+    {counts, num, den} rows of census.pmf())}, at a fraction of the cost:
+    the rows (count * scale, and count / sum of the counts) come from the
+    sorted counts with no Fraction, and are laid out from a template, as the
+    indented encoder is pure Python.  Raises EmptyClassError for an empty
+    class."""
+    if census.is_empty:
+        raise EmptyClassError("empty class: the census polynomial is zero")
     head = {
         "params": asdict(params),
         "q": census.q,
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }
-    keys = [",\n        ".join(map(str, e)) for e in pmf]
-    lists = []
-    for name, coeffs in (("exponents", map(census.poly.terms.get, pmf)), ("counts", pmf.values())):
-        rows = (_TERM % (name, key, c.numerator, c.denominator) for key, c in zip(keys, coeffs))
-        lists.append(",\n".join(rows))
+    items = sorted(census.counts.items())
+    keys = [",\n        ".join(map(str, e)) for e, _ in items]
+    # each row a * n / d in lowest terms by one gcd, as gcd(n, d) = 1
+    lists = [",\n".join(_TERM % (name, key, a // (g := math.gcd(a, d)) * n, d // g)
+                        for key, (_, a) in zip(keys, items))
+             for name, (n, d) in (("exponents", census.scale.as_integer_ratio()),
+                                  ("counts", (1, sum(census.counts.values()))))]
     return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (
         json.dumps(head, indent=2)[:-2], *lists)  # head without its closing "\n}"
-

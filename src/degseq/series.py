@@ -18,7 +18,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -101,18 +100,6 @@ class MPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def numerators(self):
-        """(L, {exps: a}) with L the lcm of the coefficient denominators and
-        a = L * coeff an int for every term."""
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        return den, {e: c.numerator * (den // c.denominator) for e, c in self.terms.items()}
-
-    def coefficient_sum(self) -> Fraction:
-        """Value of the polynomial with every variable set to 1, summed over
-        the common denominator: one Fraction, not one per term."""
-        den, nums = self.numerators()
-        return Fraction(sum(nums.values()), den)
 
     def _check_compatible(self, other: "MPoly"):
         if self.nvars != other.nvars:

@@ -1,5 +1,6 @@
 """Reference computations used only by the tests."""
 
+import math
 from fractions import Fraction
 
 from degseq.series import MPoly, TruncatedSeries
@@ -12,6 +13,20 @@ def _mul_into(acc, a, b, factor):
         for e2, c2 in b.items():
             key = tuple(x + y for x, y in zip(e1, e2))
             acc[key] = acc.get(key, 0) + factor * c1 * c2
+
+
+def numerators(poly):
+    """(L, {exps: a}) with L the lcm of an MPoly's coefficient denominators
+    and a = L * coeff an int for every term."""
+    den = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.terms.items()}
+
+
+def coefficient_sum(poly):
+    """Value of an MPoly with every variable set to 1, summed over the common
+    denominator: one Fraction, not one per term."""
+    den, nums = numerators(poly)
+    return Fraction(sum(nums.values()), den)
 
 
 def evaluate(poly, values):

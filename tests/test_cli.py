@@ -9,7 +9,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from degseq.cli import main
@@ -95,6 +95,8 @@ def test_exact_output_at_larger_exponents_matches_pinned_digest(tmp_path, capsys
     st.integers(2, 6),
     st.sampled_from(("simple", "multigraph")),
 )
+@example(0, 3, 4, "multigraph")  # n1 = 0: cycles only
+@example(1, 2, 6, "simple")  # q > n1 + n2
 @settings(max_examples=60, deadline=None)
 def test_exact_writer_matches_indented_json(half_n1, n2, q, model):
     # the template writer against the encoder it replaces, on the payload the

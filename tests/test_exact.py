@@ -12,9 +12,11 @@ from degseq.errors import DomainError, EmptyClassError
 from degseq.exact import (
     EXACT_SIZE_LIMIT,
     VALUE_SIZE_LIMIT,
+    CensusPolynomial,
     GraphClassParams,
     brute_force_multigraph,
     brute_force_simple,
+    census_json_text,
     census_to_json,
     class_is_empty,
     graph_gf,
@@ -23,7 +25,7 @@ from degseq.exact import (
     v_factor,
 )
 from degseq.series import MPoly, build_cycle_series, build_path_series
-from oracles import evaluate, pmf_moments
+from oracles import coefficient_sum, evaluate, pmf_moments
 
 F = Fraction
 
@@ -132,6 +134,33 @@ def test_multigraph_loop_plus_double_edge_masses():
 def test_gf_equals_matching_oracle(n1, n2):
     p = GraphClassParams(n1, n2, q=max(2, n1 + n2), model="multigraph")
     assert graph_gf(p).poly == brute_force_multigraph(p).poly
+
+
+@pytest.mark.parametrize("n1, n2, q", [(2, 2, 4), (4, 2, 3), (0, 4, 4), (4, 4, 8), (2, 3, 2), (0, 2, 2)])
+def test_census_equals_both_oracles_in_canonical_form(n1, n2, q):
+    # whole CensusPolynomials: == holds only when both sides divide the gcd of
+    # their counts into the scale, as graph_gf's counts over a common
+    # denominator and the oracles' graph counts carry different contents
+    for model, oracle in (("simple", brute_force_simple), ("multigraph", brute_force_multigraph)):
+        p = GraphClassParams(n1, n2, q=q, model=model)
+        census = graph_gf(p)
+        assert census == oracle(p)
+        assert math.gcd(*census.counts.values()) == (0 if census.is_empty else 1)
+
+
+def test_census_constructor_divides_out_the_content():
+    census = CensusPolynomial(2, {(0, 1): 6, (2, 0): 4}, F(1, 3))
+    assert census.counts == {(0, 1): 3, (2, 0): 2} and census.scale == F(2, 3)
+    assert census == CensusPolynomial(2, {(0, 1): 3, (2, 0): 2}, F(2, 3))
+    assert census.poly == MPoly(2, {(0, 1): 2, (2, 0): F(4, 3)})
+    assert census.total == F(10, 3)
+    assert CensusPolynomial(2, {}, F(5)) == CensusPolynomial(2, {}, F(0))
+
+
+def test_poly_and_total_are_built_once():
+    census = graph_gf(GraphClassParams(4, 4, q=3))
+    assert census.poly is census.poly
+    assert census.total is census.total
 
 
 def test_multigraph_total_is_pairing_mass():
@@ -267,7 +296,7 @@ def test_graph_gf_matches_series_api(n1, n2, q, model):
         series = build_cycle_series(q, n2, model).exp() * build_path_series(q, n2) ** (n1 // 2)
         expected = series.coeffs[n2] * v_factor(n1, n2)
     assert census.poly == expected
-    assert census.total == census.poly.coefficient_sum()
+    assert census.total == coefficient_sum(census.poly)
 
 
 def test_graph_gf_value_rejects_bad_weights():
@@ -306,6 +335,13 @@ def test_pmf_is_each_coefficient_over_the_total(n1, n2, q, model):
     census = graph_gf(GraphClassParams(n1, n2, q=q, model=model))
     expected = {e: c / census.total for e, c in sorted(census.poly.terms.items())}
     assert list(census.pmf().items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 1), (0, 1), (0, 2)])
+def test_census_json_text_raises_for_an_empty_class(n1, n2):
+    p = GraphClassParams(n1, n2, q=3)
+    with pytest.raises(EmptyClassError):
+        census_json_text(p, graph_gf(p))
 
 
 def test_joint_pmf_empty_class_raises():

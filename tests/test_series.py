@@ -11,7 +11,7 @@ from degseq.series import (
     build_cycle_series,
     build_path_series,
 )
-from oracles import evaluate, series_log
+from oracles import coefficient_sum, evaluate, series_log
 
 F = Fraction
 
@@ -76,7 +76,7 @@ def test_exp_cycle_unit_weights_counts_two_regular_graphs():
     # coefficient of z^n times n! counts labelled graphs with all degrees 2:
     # none on 0..2 vertices, 1 triangle, 3 four-cycles
     series = build_cycle_series(2, 4).exp()
-    got = [series.coeffs[k].coefficient_sum() for k in range(5)]
+    got = [coefficient_sum(series.coeffs[k]) for k in range(5)]
     assert got == [F(1), F(0), F(0), F(1, 6), F(1, 8)]
 
 
@@ -120,13 +120,13 @@ def test_build_path_patterns():
 
 def test_build_cycle_simple_unit_weights():
     c = build_cycle_series(2, 5)
-    got = [c.coeffs[k].coefficient_sum() for k in range(6)]
+    got = [coefficient_sum(c.coeffs[k]) for k in range(6)]
     assert got == [0, 0, 0, F(1, 6), F(1, 8), F(1, 10)]
 
 
 def test_build_cycle_multigraph_unit_weights():
     c = build_cycle_series(2, 3, "multigraph")
-    got = [c.coeffs[k].coefficient_sum() for k in range(4)]
+    got = [coefficient_sum(c.coeffs[k]) for k in range(4)]
     assert got == [0, F(1, 2), F(1, 4), F(1, 6)]
 
 
@@ -271,7 +271,7 @@ def test_operations_store_no_zero_coefficient(a, b, led, k):
 
 @given(mpoly_st)
 def test_coefficient_sum_is_the_fraction_sum(poly):
-    assert poly.coefficient_sum() == sum(poly.terms.values(), F(0))
+    assert coefficient_sum(poly) == sum(poly.terms.values(), F(0))
 
 
 @given(small_series_st, small_series_st)
