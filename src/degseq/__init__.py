@@ -8,7 +8,10 @@ configuration-model Monte Carlo with moment and goodness-of-fit verdicts
 The namespace is lazy (PEP 562): ``degseq.<name>`` imports the submodule that
 defines the name and is never cached here, so a wrapper installed on the
 submodule is always seen.  ``import degseq.cli`` and ``degseq exact`` load
-neither numpy nor scipy; ``limit-law``, ``sample``, ``asymptote`` and
+neither numpy nor scipy, and ``degseq exact`` loads no degseq module but
+cli, errors and exact: the reference modules series and unionfind are
+loaded only by the MPoly view of a census and the brute-force oracles, and
+``asymptote`` loads neither; ``limit-law``, ``sample``, ``asymptote`` and
 ``verify`` load numpy, and each scipy piece is imported inside the one
 function that uses it, so ``limit-law`` and ``asymptote`` load none
 (tests/test_import_policy.py).
@@ -20,7 +23,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("ConvergenceError", "DegseqError", "DomainError", "EmptyClassError",
-               "SamplingError", "StructuralError"),
+               "StructuralError"),
     "exact": ("CensusPolynomial", "GraphClassParams", "brute_force_multigraph",
               "brute_force_simple", "census_to_json", "class_is_empty",
               "graph_gf", "graph_gf_value", "joint_pmf", "v_factor"),

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .exact import check_alpha, check_counts
-from .series import check_model, check_q
+from .exact import check_alpha, check_counts, check_model, check_q
 
 FD_STEP = 1e-5
 LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finite

@@ -16,8 +16,7 @@ import math
 import sys
 
 from .errors import DegseqError
-from .exact import GraphClassParams, census_json_text, graph_gf
-from .series import MODELS
+from .exact import MODELS, GraphClassParams, census_json_text, graph_gf
 
 
 def _nonneg_int(text: str) -> int:

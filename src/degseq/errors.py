@@ -20,8 +20,3 @@ class ConvergenceError(DegseqError):
 
 class StructuralError(DegseqError):
     """A graph violates the degree-{1,2} structural invariants."""
-
-
-class SamplingError(DegseqError):
-    """Rejection sampling cannot succeed: the class is empty, so the error is
-    raised before any pairing is drawn."""

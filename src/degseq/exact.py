@@ -7,6 +7,14 @@ expands it in closed form term by term, ``graph_gf_value`` evaluates it at
 rational weights by a D-finite recurrence, and the brute-force enumerations
 below rebuild the same census polynomials graph by graph as independent
 oracles.
+
+Conventions used throughout the package:
+
+* weight vectors have length q and are indexed by component size, so slot
+  ``j - 1`` holds the weight u_j on components of size j; u_1 (slot 0) is only
+  meaningful for multigraphs and stays unused for simple graphs;
+* all coefficients are exact rationals and nothing ever passes through
+  floating point.
 """
 
 from __future__ import annotations
@@ -21,8 +29,6 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DomainError, EmptyClassError
-from .series import MPoly, as_fraction, check_model, check_q
-from .unionfind import UnionFind
 
 SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # graph_gf bound on n1 + n2.  Its time follows the number of census terms,
@@ -34,6 +40,38 @@ EXACT_SIZE_LIMIT = 800
 # host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).
 VALUE_SIZE_LIMIT = 30000
 MATCHING_ENUM_LIMIT = 6  # brute_force_multigraph bound on edge count m
+
+# The one fact that tells the models apart: simple graphs have cycles of size
+# >= 3 only, multigraphs also loops (size 1) and double edges (size 2).
+SMALLEST_CYCLE = {"simple": 3, "multigraph": 1}
+MODELS = tuple(SMALLEST_CYCLE)
+
+
+def as_fraction(value) -> Fraction:
+    """Coerce an exact number to Fraction; floats are rejected to keep the
+    kernel exact."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError("exact kernel does not accept floats: %r" % (value,))
+    return Fraction(value)
+
+
+def check_model(model: str) -> int:
+    """The model's smallest cycle size; ValueError for an unknown model."""
+    if model not in MODELS:
+        raise ValueError("model must be one of %s, got %r" % (MODELS, model))
+    return SMALLEST_CYCLE[model]
+
+
+def check_q(q) -> int:
+    """q as a Python int (TypeError unless an integer); ValueError below 2."""
+    q = operator.index(q)
+    if q < 2:
+        raise ValueError("q must be >= 2")
+    return q
 
 
 @dataclass(frozen=True)
@@ -101,11 +139,13 @@ class CensusPolynomial:
     def is_empty(self) -> bool:
         return not self.counts
 
-    def _times(self, c) -> MPoly:
+    def _times(self, c):
+        from .series import MPoly  # the coefficient type; degseq exact never loads it
+
         return MPoly._of(self.q, self.counts) * MPoly.constant(self.q, c)
 
     @cached_property
-    def poly(self) -> MPoly:
+    def poly(self):
         return self._times(self.scale)
 
     @cached_property
@@ -418,6 +458,8 @@ def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
 def _tally(edge_lists, n: int, q: int, weight: Fraction) -> CensusPolynomial:
     """Census polynomial of graphs on vertices 0..n-1, given by their edge
     lists, each contributing ``weight`` to its census monomial."""
+    from .unionfind import UnionFind  # only the brute-force oracles label graphs
+
     counts = Counter(census_exponents(UnionFind(n, edges).component_sizes(), q)
                      for edges in edge_lists)
     return CensusPolynomial(q, counts, weight)

@@ -20,9 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import SamplingError, StructuralError
-from .exact import GraphClassParams, census_exponents, check_counts, class_is_empty
-from .series import check_q
+from .errors import EmptyClassError, StructuralError
+from .exact import GraphClassParams, census_exponents, check_counts, check_q, class_is_empty
 from .unionfind import UnionFind
 
 # replications per seeded chunk of run_experiment
@@ -91,14 +90,14 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
 
 
 def _check_nonempty(n1: int, n2: int, model: str) -> None:
-    """SamplingError, before any draw, if the class is empty."""
+    """EmptyClassError, before any draw, if the class is empty."""
     if class_is_empty(n1, n2, model):
-        raise SamplingError("empty class: no %s graph has n1=%d, n2=%d" % (model, n1, n2))
+        raise EmptyClassError("empty class: no %s graph has n1=%d, n2=%d" % (model, n1, n2))
 
 
 def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: redraw pairings until there
-    is no loop and no double edge.  Raises SamplingError, before drawing,
+    is no loop and no double edge.  Raises EmptyClassError, before drawing,
     if no simple graph has this degree profile."""
     check_counts(n1, n2)
     _check_nonempty(n1, n2, "simple")
@@ -329,7 +328,7 @@ def run_experiment(
     replications [CHUNK_REPS*c, CHUNK_REPS*(c+1)), the first accepted
     pairings of the row stream of child c of SeedSequence(seed), so workers
     only share out chunks, and a run of N replications is the first N rows of
-    any longer run with the same seed.  Raises SamplingError for an empty
+    any longer run with the same seed.  Raises EmptyClassError for an empty
     class."""
     if n_reps < 1:
         raise ValueError("need at least one replication")

@@ -1,19 +1,11 @@
 """Exact arithmetic: multivariate polynomials in the component-marking
-weights u_1..u_q over the rationals (``MPoly``, the census polynomial's type),
-the model table and the q check, and truncated power series in z with MPoly
-coefficients.  ``exact.graph_gf`` expands the census in closed form; the
-cycle and path series and the series operations ``*``, ``**`` and ``exp``
-here are the plain reference it is checked against: tuple-keyed Fraction
-terms, a schoolbook product, and the O(order^2) recurrences for ``exp`` and
-``**``.
-
-Conventions used throughout the package:
-
-* weight vectors have length q and are indexed by component size, so slot
-  ``j - 1`` holds the weight u_j on components of size j; u_1 (slot 0) is only
-  meaningful for multigraphs and stays unused for simple graphs;
-* all coefficients are exact rationals and nothing ever passes through
-  floating point.
+weights u_1..u_q over the rationals (``MPoly``, the census polynomial's type)
+and truncated power series in z with MPoly coefficients.  ``exact.graph_gf``
+expands the census in closed form; the cycle and path series and the series
+operations ``*``, ``**`` and ``exp`` here are the plain reference it is
+checked against: tuple-keyed Fraction terms, a schoolbook product, and the
+O(order^2) recurrences for ``exp`` and ``**``.  The model table, the q check
+and the weight conventions live in ``exact``.
 """
 
 from __future__ import annotations
@@ -21,38 +13,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 
-# The one fact that tells the models apart: simple graphs have cycles of size
-# >= 3 only, multigraphs also loops (size 1) and double edges (size 2).
-SMALLEST_CYCLE = {"simple": 3, "multigraph": 1}
-MODELS = tuple(SMALLEST_CYCLE)
-
-
-def as_fraction(value) -> Fraction:
-    """Coerce an exact number to Fraction; floats are rejected to keep the
-    kernel exact."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise TypeError("exact kernel does not accept floats: %r" % (value,))
-    return Fraction(value)
-
-
-def check_model(model: str) -> int:
-    """The model's smallest cycle size; ValueError for an unknown model."""
-    if model not in MODELS:
-        raise ValueError("model must be one of %s, got %r" % (MODELS, model))
-    return SMALLEST_CYCLE[model]
-
-
-def check_q(q) -> int:
-    """q as a Python int (TypeError unless an integer); ValueError below 2."""
-    q = operator.index(q)
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    return q
-
+from .exact import as_fraction, check_model, check_q
 
 class MPoly:
     """Sparse polynomial in u_1..u_q with Fraction coefficients.

@@ -296,10 +296,9 @@ def check_small_instance_distributions() -> dict:
     passed = verdict.passed
     for (n1, n2), seed in SEED_GOF_MULTI.items():
         p = GraphClassParams(n1, n2, q=n1 + n2, model="multigraph")
-        oracle = brute_force_multigraph(p)
-        probs = {k: c / oracle.total for k, c in oracle.poly.terms.items()}
         observed = _sampled_census_counts(p, seed, workers)
-        verdict = chi_square_gof(observed, probs, 100000, significance=0.001)
+        verdict = chi_square_gof(observed, brute_force_multigraph(p).pmf(), 100000,
+                                 significance=0.001)
         results["multigraph_%d_%d_p" % (n1, n2)] = verdict.details["p_value"]
         passed = passed and verdict.passed
     results["passed"] = passed

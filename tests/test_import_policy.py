@@ -1,9 +1,10 @@
 """Import policy: ``degseq exact`` runs without numpy or scipy, ``degseq
-limit-law`` and ``degseq asymptote`` without scipy, and the lazy ``degseq``
-namespace still exports every name it did when it imported all submodules
-eagerly.  numpy is loaded by the submodules that use it (asymptotics, sampler,
-stats, verify); each of the two scipy pieces is imported inside the one function
-that uses it (census_rows, chi_square_gof)."""
+limit-law`` and ``degseq asymptote`` without scipy, neither ``exact`` nor
+``asymptote`` loads the reference modules ``series`` and ``unionfind``, and
+the lazy ``degseq`` namespace still exports every name it did when it
+imported all submodules eagerly.  numpy is loaded by the submodules that use
+it (asymptotics, sampler, stats, verify); each of the two scipy pieces is
+imported inside the one function that uses it (census_rows, chi_square_gof)."""
 
 import json
 import os
@@ -28,22 +29,26 @@ import degseq.cli
 out = sys.argv[1]
 codes = [degseq.cli.main(["exact", "--n1", "4", "--n2", "4", "--q", "8", "--out", os.path.join(out, "exact.json")])]
 after_exact = loaded("numpy") + loaded("scipy")
+degseq_after_exact = loaded("degseq")
 codes.append(degseq.cli.main(["limit-law", "--alpha", "1", "--q", "4", "--out", os.path.join(out, "law.json")]))
 after_law = {"numpy": "numpy" in sys.modules, "scipy": loaded("scipy")}
 codes.append(degseq.cli.main(["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9",
                               "--out", os.path.join(out, "asym.json")]))
 after_asymptote = loaded("scipy")
+degseq_after_asymptote = loaded("degseq")
 degseq.run_experiment(degseq.GraphClassParams(4, 4, q=3), 5, seed=1)
 print(json.dumps({"codes": codes, "after_exact": after_exact, "after_law": after_law,
-                  "after_asymptote": after_asymptote, "after_sample": loaded("scipy")}))
+                  "after_asymptote": after_asymptote, "after_sample": loaded("scipy"),
+                  "degseq_after_exact": degseq_after_exact,
+                  "degseq_after_asymptote": degseq_after_asymptote}))
 """
 
 # The names `import degseq` bound when __init__ imported every submodule.
 EXPORTED = [
     "CensusPolynomial", "ComponentCensus", "ConvergenceError", "DegseqError", "DomainError",
     "EmptyClassError", "ExperimentResult", "GraphClassParams", "LimitLaw", "MPoly",
-    "MomentReport", "SaddleData", "SamplingError", "StructuralError", "StubMultigraph",
-    "TruncatedSeries", "Verdict", "asymptotic_log_gf", "asymptotics", "brute_force_multigraph",
+    "MomentReport", "SaddleData", "StructuralError", "StubMultigraph", "TruncatedSeries",
+    "Verdict", "asymptotic_log_gf", "asymptotics", "brute_force_multigraph",
     "brute_force_simple", "build_cycle_series", "build_path_series", "census",
     "census_to_json", "chi_square_gof", "class_is_empty",
     "compensation_factor", "contour_extract", "errors", "exact", "gaussian_check",
@@ -69,6 +74,11 @@ def test_exact_and_limit_law_load_no_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["after_exact"] == []
     assert report["after_asymptote"] == []
+    # the production paths import no reference code: the brute-force oracles
+    # and the MPoly view load series and unionfind on first use
+    assert report["degseq_after_exact"] == [
+        "degseq", "degseq.cli", "degseq.errors", "degseq.exact"]
+    assert not {"degseq.series", "degseq.unionfind"} & set(report["degseq_after_asymptote"])
     # positive controls: the limit law loads numpy, the sampler's labeller
     # loads scipy, and the probe sees both
     assert report["after_law"] == {"numpy": True, "scipy": []}
@@ -82,6 +92,12 @@ def test_namespace_exports_the_eager_names():
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTED
     for name in EXPORTED:
         assert getattr(degseq, name) is namespace[name]
+
+
+def test_series_reads_the_model_facts_from_exact():
+    from degseq import exact, series
+
+    assert series.check_q is exact.check_q
 
 
 def test_namespace_resolves_each_access_and_rejects_unknown_names(monkeypatch):

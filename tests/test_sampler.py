@@ -10,7 +10,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from degseq.errors import SamplingError, StructuralError
+from degseq.errors import EmptyClassError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
 from degseq.series import build_cycle_series
 from degseq import sampler
@@ -120,7 +120,7 @@ def test_census_rejects_non_integer_q():
     ids=("census_rows", "build_cycle_series", "census"),
 )
 def test_float_q_raises_type_error(call):
-    # series.check_q reads q through operator.index in every pipeline
+    # exact.check_q reads q through operator.index in every pipeline
     with pytest.raises(TypeError, match="integer"):
         call()
 
@@ -185,10 +185,10 @@ def test_sample_simple_empty_class_raises():
     for n2 in (1, 2):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(SamplingError, match="empty class"):
+        with pytest.raises(EmptyClassError, match="empty class"):
             sample_simple(0, n2, rng)
         assert rng.bit_generator.state == state
-        with pytest.raises(SamplingError, match="empty class"):
+        with pytest.raises(EmptyClassError, match="empty class"):
             run_experiment(GraphClassParams(0, n2), 5, seed=1)
     with pytest.raises(ValueError):
         sample_simple(3, 1, 1)
