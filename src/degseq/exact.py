@@ -94,8 +94,7 @@ class GraphClassParams:
         # ints, since the exact kernels' integer arithmetic must not wrap around
         for name in ("n1", "n2", "q"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
-        if self.n1 < 0 or self.n2 < 0:
-            raise ValueError("vertex counts must be nonnegative")
+        check_counts(self.n1, self.n2, even_n1=False)  # odd n1: the empty class
         check_q(self.q)
         check_model(self.model)
 
@@ -160,11 +159,12 @@ class CensusPolynomial:
         return dict(sorted(self._times(Fraction(1, sum(self.counts.values()))).terms.items()))
 
 
-def check_counts(n1: int, n2: int) -> None:
-    """DomainError unless n1, n2 >= 0 and n1 is even (each path has two ends)."""
+def check_counts(n1: int, n2: int, even_n1: bool = True) -> None:
+    """DomainError unless n1, n2 >= 0 and, with even_n1, n1 is even (each
+    path has two ends)."""
     if n1 < 0 or n2 < 0:
         raise DomainError("vertex counts must be nonnegative")
-    if n1 % 2:
+    if even_n1 and n1 % 2:
         raise DomainError("n1 must be even")
 
 
@@ -387,8 +387,7 @@ def class_is_empty(n1: int, n2: int, model: str) -> bool:
     path.
     """
     first = check_model(model)
-    if n1 < 0 or n2 < 0:
-        raise ValueError("vertex counts must be nonnegative")
+    check_counts(n1, n2, even_n1=False)
     return n1 % 2 == 1 or (n1 == 0 and 0 < n2 < first)
 
 

@@ -26,9 +26,6 @@ class Verdict:
     name: str
     details: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "name": self.name, "details": self.details}
-
 
 @dataclass(frozen=True, eq=False)
 class MomentReport:
@@ -40,16 +37,6 @@ class MomentReport:
     empirical_mean: np.ndarray
     empirical_cov: np.ndarray
     standard_errors: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "n1": self.n1,
-            "n2": self.n2,
-            "n_samples": self.n_samples,
-            "empirical_mean": [float(x) for x in self.empirical_mean],
-            "empirical_cov": [[float(x) for x in row] for row in self.empirical_cov],
-            "standard_errors": [float(x) for x in self.standard_errors],
-        }
 
 
 def standardize(counts: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:

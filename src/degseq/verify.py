@@ -193,40 +193,47 @@ def check_laplace_asymptotics() -> dict:
     }
 
 
-def check_gaussian_limit() -> dict:
-    """Standardized census moments at n1=2000, N=20000 match N(0, H(1)).
-    Also reports the rejection sampler's acceptance against its closed-form
-    limit (not part of the verdict)."""
-    p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="simple")
-    law = limit_law(1.0, 4, "simple")
+def check_gaussian_limit(
+    alpha=1.0, n1=2000, q=4, model="simple", n_reps=20000, seed=SEED_GAUSSIAN
+) -> dict:
+    """Standardized census moments of n_reps sampled graphs with
+    n2 = floor(alpha*n1/2) match N(0, H(alpha)), within 4 standard errors
+    (means) and 0.06 (covariances).  Also reports the empirical moments and
+    the rejection sampler's acceptance against its closed-form limit (not
+    part of the verdict), a gap of 0 standard errors when every pairing is
+    accepted (the multigraph model)."""
+    p = GraphClassParams.from_alpha(alpha, n1, q=q, model=model)
+    law = limit_law(alpha, q, model)
     workers = available_cpus()
-    result = run_experiment(p, 20000, seed=SEED_GAUSSIAN, workers=workers)
-    v = standardize(result.counts, law, p.n1)
-    report = moment_report(v, p.n1, p.n2)
+    result = run_experiment(p, n_reps, seed=seed, workers=workers)
+    report = moment_report(standardize(result.counts, law, p.n1), p.n1, p.n2)
     verdict = gaussian_check(report, law, tol_mean_se=4.0, tol_cov_abs=0.06)
     acceptance = result.n_reps / result.pairings_examined
     limit = acceptance_limit(p)
     se = math.sqrt(acceptance * (1 - acceptance) / result.pairings_examined)
     return {
         "passed": verdict.passed,
-        "seed": SEED_GAUSSIAN,
+        "seed": seed,
         "workers": workers,
         "runtime_limit_s": 300,
         **verdict.details,
+        "empirical_mean": report.empirical_mean.tolist(),
+        "empirical_cov": report.empirical_cov.tolist(),
         "acceptance": acceptance,
         "acceptance_limit": limit,
-        "acceptance_gap_se": (acceptance - limit) / se,
+        "acceptance_gap_se": (acceptance - limit) / se if se else 0.0,
     }
 
 
-def check_poisson_limit() -> dict:
-    """Loop counts at n1=2000, N=20000 match Poisson(1/4)."""
-    p = GraphClassParams.from_alpha(1.0, 2000, q=4, model="multigraph")
-    lam = limit_law(1.0, 4, "multigraph").poisson_lambda
+def check_poisson_limit(alpha=1.0, n1=2000, n_reps=20000, seed=SEED_POISSON) -> dict:
+    """Loop counts U_1 of n_reps configuration-model multigraphs with
+    n2 = floor(alpha*n1/2) match Poisson(alpha/(2(1+alpha)))."""
+    p = GraphClassParams.from_alpha(alpha, n1, q=4, model="multigraph")
+    lam = limit_law(alpha, 4, "multigraph").poisson_lambda
     workers = available_cpus()
-    result = run_experiment(p, 20000, seed=SEED_POISSON, workers=workers)
+    result = run_experiment(p, n_reps, seed=seed, workers=workers)
     verdict = poisson_check(result.counts[:, 0], lam)
-    return {"passed": verdict.passed, "seed": SEED_POISSON, "workers": workers, **verdict.details}
+    return {"passed": verdict.passed, "seed": seed, "workers": workers, **verdict.details}
 
 
 def check_structural_invariants() -> dict:

@@ -223,6 +223,24 @@ def test_phi_second_rejects_zeta_outside_unit_interval(zeta):
         phi_second(zeta, [1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("zeta", (0.0, 1.0, -0.5, 1.5))
+def test_a_zero_rejects_zeta_outside_unit_interval(zeta):
+    with pytest.raises(DomainError, match=r"zeta must lie in \(0,1\)"):
+        a_zero(zeta, [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("fn", WEIGHT_CALLS)
+def test_weights_must_be_one_dimensional(fn):
+    with pytest.raises(ValueError, match="1-d"):
+        WEIGHT_CALLS[fn](np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("t", ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]))
+def test_chi_value_rejects_t_of_wrong_length(t):
+    with pytest.raises(ValueError, match="t must have length q-1"):
+        chi_value(t, 1.0, 3)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_phi_second_unit_weights(alpha):
     zeta = solve_zeta(alpha, np.ones(3))

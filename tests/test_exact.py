@@ -62,6 +62,26 @@ def test_class_is_empty_rejects_negative_counts(n1, n2, model):
         class_is_empty(n1, n2, model)
 
 
+@pytest.mark.parametrize("n1, n2", [(-2, 3), (2, -3), (-1, 3)])
+def test_negative_counts_raise_one_domain_error(n1, n2):
+    # one definition (check_counts) for the instance, the emptiness test and
+    # the relabelling prefactor, odd n1 or not
+    calls = (GraphClassParams, lambda a, b: class_is_empty(a, b, "multigraph"), v_factor)
+    for call in calls:
+        with pytest.raises(DomainError, match="^vertex counts must be nonnegative$"):
+            call(n1, n2)
+
+
+def test_graph_gf_value_of_odd_n1_is_zero():
+    assert graph_gf_value(GraphClassParams(3, 2, q=3)) == 0
+    assert graph_gf_value(GraphClassParams(1, 0, q=2, model="multigraph"), [2, 3]) == 0
+
+
+def test_alpha_is_undefined_without_paths():
+    with pytest.raises(ValueError, match="alpha is undefined for n1 = 0"):
+        GraphClassParams(0, 3).alpha
+
+
 @pytest.mark.parametrize(
     "n1,n2,q,expected",
     [

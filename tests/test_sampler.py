@@ -277,6 +277,12 @@ def test_run_experiment_output_independent_of_workers(model):
     assert np.array_equal(head.counts, solo.counts[:130])
 
 
+@pytest.mark.parametrize("workers", (0, -1))
+def test_run_experiment_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_experiment(GraphClassParams(4, 2, q=3), 5, seed=0, workers=workers)
+
+
 def _single_graph_rows(p, n_reps, seed):
     """Census rows and pairings drawn when chunk c runs the single-graph
     sampler (sample_simple's loop written out) on child c of

@@ -137,6 +137,29 @@ def test_chi_square_gof_point_mass_passes():
     assert verdict.passed and verdict.details["chi2_stat"] == 0.0
 
 
+def test_chi_square_gof_pools_cells_of_small_expectation():
+    from scipy.stats import chisquare
+
+    # expected 98, 1, 1: the last two cells fall below MIN_EXPECTED and are
+    # pooled into one cell that observes 3 + 2 and expects 2
+    probs = {"a": 0.98, "b": 0.01, "c": 0.01}
+    details = chi_square_gof({"a": 95, "b": 3, "c": 2}, probs, 100).details
+    ref = chisquare([95, 5], [98, 2])
+    assert details["cells"] == 2
+    assert details["chi2_stat"] == pytest.approx(ref.statistic, rel=1e-12)
+    assert details["p_value"] == pytest.approx(ref.pvalue, rel=1e-9)
+
+
+def test_chi_square_gof_unsupported_outcome_joins_the_pooled_cell():
+    # the 10 draws of "z" join "b" and "c" in the pooled cell, which
+    # expects 2 and so observes far too many
+    probs = {"a": 0.98, "b": 0.01, "c": 0.01}
+    verdict = chi_square_gof({"a": 90, "z": 10}, probs, 100)
+    assert verdict.details["cells"] == 2
+    assert verdict.details["chi2_stat"] == pytest.approx(8**2 / 98 + 8**2 / 2, rel=1e-12)
+    assert not verdict.passed
+
+
 # chi-square statistics as multiples of dof: 0, 1e-300, the bulk around the
 # mean (dof) and the upper tail; the test adds 1e5
 CHI2_STAT_GRID = (0.0, 1e-300, 1e-3, 0.1, 0.5, 0.9, 1.0, 1.1, 2.0, 4.0, 10.0)
