@@ -402,47 +402,32 @@ def census_exponents(sizes, q: int) -> tuple:
 
 
 def _degree12_graphs(n1: int, n2: int):
-    """Yield the edge list of every simple graph on vertices 0..n1+n2-1 whose
-    degree multiset has exactly n1 ones and n2 twos.
+    """Yield the edge list of every simple graph on vertices 0..n1+n2-1 in
+    which vertices 0..n1-1 have degree 1 and the others degree 2.
 
-    Backtracking over vertices in order: when vertex v is reached, its edges
-    to earlier vertices are fixed, so choosing its final degree and its
-    higher-indexed neighbours enumerates each graph exactly once.
+    Backtracking over vertices in order, with need[w] the edges vertex w
+    still lacks: when vertex v is reached, its edges to earlier vertices are
+    fixed, so choosing its need[v] neighbours among the later vertices that
+    still lack an edge enumerates each graph exactly once.
     """
     n = n1 + n2
-    deg = [0] * n
+    need = [1] * n1 + [2] * n2
     edges = []
 
-    def rec(v, c1, c2):
+    def rec(v):
         if v == n:
-            if c1 == n1 and c2 == n2:
-                yield list(edges)
+            yield list(edges)
             return
-        d = deg[v]
-        eligible = [w for w in range(v + 1, n) if deg[w] < 2]
-        forced_twos = (n - v - 1) - len(eligible)
-        for f in (1, 2):
-            if f < max(d, 1):
-                continue
-            nc1 = c1 + (f == 1)
-            nc2 = c2 + (f == 2)
-            if nc1 > n1 or nc2 > n2:
-                continue
-            if n2 - nc2 < forced_twos:
-                continue
-            need = f - d
-            if need > len(eligible):
-                continue
-            for combo in combinations(eligible, need):
-                for w in combo:
-                    deg[w] += 1
-                    edges.append((v, w))
-                yield from rec(v + 1, nc1, nc2)
-                for w in combo:
-                    deg[w] -= 1
-                    edges.pop()
+        for combo in combinations([w for w in range(v + 1, n) if need[w]], need[v]):
+            for w in combo:
+                need[w] -= 1
+                edges.append((v, w))
+            yield from rec(v + 1)
+            for w in combo:
+                need[w] += 1
+                edges.pop()
 
-    yield from rec(0, 0, 0)
+    yield from rec(0)
 
 
 def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
@@ -451,17 +436,22 @@ def brute_force_simple(params: GraphClassParams) -> CensusPolynomial:
     n1, n2, q = params.n1, params.n2, params.q
     if n1 + n2 > SIMPLE_ENUM_LIMIT:
         raise ValueError("enumeration bound n1+n2 <= %d exceeded" % SIMPLE_ENUM_LIMIT)
-    return _tally(_degree12_graphs(n1, n2), n1 + n2, q, Fraction(1))
+    return _tally(_degree12_graphs(n1, n2), n1, n2, q, Fraction(1))
 
 
-def _tally(edge_lists, n: int, q: int, weight: Fraction) -> CensusPolynomial:
-    """Census polynomial of graphs on vertices 0..n-1, given by their edge
-    lists, each contributing ``weight`` to its census monomial."""
+def _tally(edge_lists, n1: int, n2: int, q: int, weight: Fraction) -> CensusPolynomial:
+    """Census polynomial of the graphs on vertices 0..n1+n2-1, given by their
+    edge lists, each contributing ``weight`` to its census monomial.
+
+    The enumerations fix the degree-1 vertices as 0..n1-1, while the census
+    polynomial sums over all C(n1+n2, n1) placements of the degree-1 labels.
+    Relabelling preserves the census, so every placement contributes the same
+    polynomial and one binomial factor accounts for them."""
     from .unionfind import UnionFind  # only the brute-force oracles label graphs
 
-    counts = Counter(census_exponents(UnionFind(n, edges).component_sizes(), q)
+    counts = Counter(census_exponents(UnionFind(n1 + n2, edges).component_sizes(), q)
                      for edges in edge_lists)
-    return CensusPolynomial(q, counts, weight)
+    return CensusPolynomial(q, counts, weight * math.comb(n1 + n2, n1))
 
 
 def _stub_pairings(owners):
@@ -477,23 +467,18 @@ def _stub_pairings(owners):
 
 def brute_force_multigraph(params: GraphClassParams) -> CensusPolynomial:
     """Oracle for the multigraph census: enumerate every pairing of the stub
-    multiset and weight each census monomial by C(n1+n2, n1) * 2^{-n2}.
+    multiset and weight each census monomial by 2^{-n2}.
 
     Under uniform pairings a multigraph occurs with multiplicity proportional
     to its compensation factor; each degree-2 vertex owns two interchangeable
-    stubs, so per pairing the compensation-weighted mass is 2^{-n2}.  The
-    enumeration fixes which vertices carry one stub, while the census
-    polynomial sums over all placements of the degree-1 labels; relabelling
-    preserves the census, so every placement contributes the same mass and a
-    single binomial factor accounts for them.
+    stubs, so per pairing the compensation-weighted mass is 2^{-n2}.
     """
     n1, n2, q = params.n1, params.n2, params.q
     m = n1 // 2 + n2
     if m > MATCHING_ENUM_LIMIT:
         raise ValueError("enumeration bound m <= %d exceeded" % MATCHING_ENUM_LIMIT)
-    n = n1 + n2
     owners = list(range(n1)) + [v for v in range(n1, n1 + n2) for _ in range(2)]
-    return _tally(_stub_pairings(owners), n, q, Fraction(math.comb(n, n1), 1 << n2))
+    return _tally(_stub_pairings(owners), n1, n2, q, Fraction(1, 1 << n2))
 
 
 def census_to_json(census: CensusPolynomial) -> dict:

@@ -23,7 +23,6 @@ PSD_TOL = 1e-9  # psd_check's allowance below zero for the least eigenvalue
 @dataclass(frozen=True)
 class Verdict:
     passed: bool
-    name: str
     details: dict = field(default_factory=dict)
 
 
@@ -87,7 +86,6 @@ def gaussian_check(
     passed = bool(np.all(mean_dev <= tol_mean_se) and np.all(cov_dev <= tol_cov_abs))
     return Verdict(
         passed,
-        "gaussian-moments",
         {
             "max_mean_dev_se": float(mean_dev.max()),
             "max_cov_abs_dev": float(cov_dev.max()),
@@ -130,7 +128,6 @@ def poisson_check(u1_samples, lam: float) -> Verdict:
     passed = bool(fit.passed and mean_ok and var_ok)
     return Verdict(
         passed,
-        "poisson-loops",
         {
             "lambda": lam,
             "p_value": fit.details["p_value"],
@@ -192,7 +189,6 @@ def chi_square_gof(
         p_value = float(chdtrc(len(cells) - 1, stat))
     return Verdict(
         bool(p_value >= significance),
-        "chi-square-gof",
         {
             "p_value": p_value,
             "chi2_stat": float(stat),
@@ -210,4 +206,4 @@ def psd_check(matrix: np.ndarray) -> Verdict:
     if not np.allclose(m, m.T, rtol=0.0, atol=1e-12):
         raise ValueError("matrix must be symmetric")
     min_eig = float(np.linalg.eigvalsh(m).min())
-    return Verdict(min_eig >= -PSD_TOL, "psd", {"min_eigenvalue": min_eig, "tol": PSD_TOL})
+    return Verdict(min_eig >= -PSD_TOL, {"min_eigenvalue": min_eig, "tol": PSD_TOL})

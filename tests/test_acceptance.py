@@ -82,3 +82,8 @@ def test_check_over_its_runtime_limit_fails(monkeypatch):
     monkeypatch.setattr(verify, "CHECKS", ((3, "saddle-closed-form", slow_check),))
     result = verify.run_check(3)
     assert not result.passed and result.details["runtime_exceeded"] is True
+
+
+def test_run_check_rejects_an_unknown_number():
+    with pytest.raises(ValueError, match="no acceptance check numbered 99"):
+        verify.run_check(99)

@@ -173,6 +173,11 @@ def test_brentq_port_raises_package_errors():
         _brentq(lambda x: x + 2.0, 0.0, 1.0)
 
 
+def test_brentq_returns_an_end_of_the_bracket_that_is_an_exact_root():
+    assert _brentq(lambda x: x - 0.5, 0.5, 1.0) == 0.5
+    assert _brentq(lambda x: x - 1.0, 0.5, 1.0) == 1.0
+
+
 def test_path_positivity_guard():
     with pytest.raises(DomainError):
         check_path_positive([1.0, -0.5, 1.0])

@@ -515,6 +515,19 @@ def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
     assert err == "error: no acceptance check numbered 99, 0\n"
 
 
+def test_verify_without_flags_runs_every_check(capsys, monkeypatch):
+    from degseq import verify
+
+    def check():
+        return {"passed": True}
+
+    monkeypatch.setattr(verify, "CHECKS", ((3, "first", check), (7, "second", check)))
+    code, out, _ = run_cli(["verify"], capsys)
+    assert code == 0
+    lines = [line.split()[:3] for line in out.splitlines()]
+    assert lines == [["PASS", "3", "first"], ["PASS", "7", "second"]]
+
+
 def test_verify_structural_check_fails_on_forged_graph(tmp_path, capsys, monkeypatch):
     # one sampled graph gets a loop in place of an edge: same edge count, but
     # two vertices off their degree, which both labellers reject

@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import time
+from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +17,7 @@ from degseq.exact import (
     VALUE_SIZE_LIMIT,
     CensusPolynomial,
     GraphClassParams,
+    as_fraction,
     brute_force_multigraph,
     brute_force_simple,
     census_json_text,
@@ -25,6 +29,7 @@ from degseq.exact import (
     v_factor,
 )
 from degseq.series import MPoly, build_cycle_series, build_path_series
+from degseq.unionfind import UnionFind
 from oracles import coefficient_sum, evaluate, pmf_moments
 
 F = Fraction
@@ -114,6 +119,25 @@ def test_graph_gf_odd_n1_is_zero():
 def test_brute_force_simple_hand_cases(n1, n2, q, expected):
     bf = brute_force_simple(GraphClassParams(n1, n2, q=q))
     assert bf.poly == MPoly(q, expected)
+
+
+def test_brute_force_simple_equals_degree_filtered_subsets_of_the_complete_graph():
+    # every (n1/2 + n2)-edge subset of K_n whose degree multiset is
+    # {1^n1, 2^n2}, with the degree-1 vertices anywhere: this count places the
+    # degree-1 labels itself, where the oracle fixes them and multiplies by
+    # C(n, n1)
+    for n in range(7):
+        q = max(2, n)
+        pairs = list(combinations(range(n), 2))
+        for n1 in range(0, n + 1, 2):
+            counts = Counter()
+            for edges in combinations(pairs, n1 // 2 + n - n1):
+                degrees = Counter(v for edge in edges for v in edge)
+                if sorted(degrees[v] for v in range(n)) == [1] * n1 + [2] * (n - n1):
+                    sizes = UnionFind(n, edges).component_sizes()
+                    counts[tuple(sizes.count(j) for j in range(1, q + 1))] += 1
+            oracle = brute_force_simple(GraphClassParams(n1, n - n1, q=q))
+            assert CensusPolynomial(q, counts, F(1)) == oracle, (n1, n)
 
 
 # larger instances are covered by the acceptance battery
@@ -325,6 +349,11 @@ def test_graph_gf_value_rejects_bad_weights():
         graph_gf_value(p, [1, 0.5, 1])
     with pytest.raises(ValueError):
         graph_gf_value(p, [1, 1])
+
+
+def test_as_fraction_reads_exact_strings_and_decimals():
+    assert as_fraction("3/4") == F(3, 4)
+    assert as_fraction(Decimal("0.125")) == F(1, 8)
 
 
 def test_joint_pmf_sums_to_one_exactly():

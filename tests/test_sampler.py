@@ -18,6 +18,7 @@ from degseq.sampler import (
     CHUNK_REPS,
     StubMultigraph,
     acceptance_limit,
+    available_cpus,
     census,
     census_rows,
     compensation_factor,
@@ -251,6 +252,14 @@ def test_run_experiment_single_rep():
     r = run_experiment(p, 1, seed=0)
     assert r.counts.shape == (1, 2)
     assert r.counts[0, 1] == 1
+
+
+def test_available_cpus_without_an_affinity_call_counts_every_cpu(monkeypatch):
+    monkeypatch.delattr(sampler.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 3)
+    assert available_cpus() == 3
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: None)
+    assert available_cpus() == 1
 
 
 def test_run_experiment_parallel_workers_deterministic():
