@@ -2,7 +2,7 @@
 matching, rejection to simple graphs, component census, and a seeded,
 optionally parallel experiment harness that draws and rejects a block of
 pairings per numpy call, and labels the degree-2 vertices of the accepted
-rows a block's worth at a time.
+rows a budget's worth at a time, across chunk boundaries.
 
 The single-graph API is plain Python: sample_multigraph shuffles a Python
 list of stub owners with Generator.shuffle, which makes the same draws as
@@ -27,8 +27,8 @@ from .unionfind import UnionFind
 # replications per seeded chunk of run_experiment
 CHUNK_REPS = 100
 # vertices per block of pairings drawn at once (max(1, _BLOCK_VERTICES // n)
-# rows); bounds the block's memory, and that of a labelled batch of accepted
-# rows to under twice it, and affects speed only
+# rows), and the degree-2 vertices (rows*n2) that close a labelled batch, which
+# may span chunks; bounds memory and affects speed only
 _BLOCK_VERTICES = 2**15
 
 
@@ -265,50 +265,59 @@ class ExperimentResult:
         return self.counts.shape[0]
 
 
-def _sample_chunk(params: GraphClassParams, seed_seq: np.random.SeedSequence, n_reps: int):
-    """Censuses of the first n_reps accepted pairings of the chunk's row
-    stream, and the number of pairings examined up to the last of them.
+def _simple_rows(lo: np.ndarray, hi: np.ndarray, n1: int, n: int) -> np.ndarray:
+    """Mask of the simple rows of a block of pairings on n vertices, ends in
+    (min, max) order.  A degree-1 vertex has one stub, so a loop or a double
+    edge joins two degree-2 vertices: only their edges are tested, in one sort
+    of the keys row*n^2 + lo*n + hi, where one edge in two rows is two keys."""
+    simple = np.ones(lo.shape[0], dtype=bool)
+    inner = np.flatnonzero(lo >= n1)
+    row, lo, hi = inner // lo.shape[1], lo.ravel()[inner], hi.ravel()[inner]
+    keys = np.sort((row * n + lo) * n + hi)
+    simple[row[lo == hi]] = False
+    simple[keys[1:][keys[1:] == keys[:-1]] // (n * n)] = False
+    return simple
+
+
+def _sample_chunks(params: GraphClassParams, seeds, sizes):
+    """Censuses of the first sizes[i] accepted pairings of the row stream of
+    default_rng(seeds[i]) for each chunk i in turn, and the pairings examined
+    up to the last of them, summed over the chunks.
 
     Generator.permuted shuffles row after row with the draws of one
     Generator.permutation each, so the rows are the pairings that successive
     sample_multigraph calls would draw, and the output does not depend on
     how the stream is cut into blocks.  Each block of at most max_rows
     pairings is drawn, rejected and contracted to its degree-2 part at once
-    (_contract); the contracted rows wait until they reach max_rows or the
-    chunk ends, and are then labelled in one _tally call."""
-    rng = np.random.default_rng(seed_seq)
+    (_contract).  Labelling draws no random numbers, so the contracted rows
+    wait, across chunks, until they hold _BLOCK_VERTICES degree-2 vertices
+    or the last chunk ends, and are then labelled in one _tally call."""
     n1, n2, q = params.n1, params.n2, params.q
     n = n1 + n2
     owners = _stub_owners(n1, n2)
     simple = params.model == "simple"
     accept = acceptance_limit(params)
     max_rows = max(1, _BLOCK_VERTICES // max(n, 1))
-    counts, tails, firsts, seconds, pairs = [], [], [], [], []
-    pending = 0
-    need = n_reps
-    examined = 0
-    while need:
-        rows = min(max_rows, math.ceil(need / accept))
-        lo, hi = _endpoints(rng.permuted(np.broadcast_to(owners, (rows, owners.size)), axis=1))
-        if simple:
-            keys = np.sort(lo * n + hi, axis=1)
-            bad = (lo == hi).any(axis=1) | (keys[:, 1:] == keys[:, :-1]).any(axis=1)
-            kept = np.flatnonzero(~bad)[:need]
-            if kept.size == need:
-                rows = int(kept[-1]) + 1
-            lo, hi = lo[kept], hi[kept]
-        first, second, row_pairs = _contract(n1, n2, lo, hi)
-        firsts.append(first + pending * n2)
-        seconds.append(second + pending * n2)
-        pairs.append(row_pairs)
-        pending += lo.shape[0]
-        need -= lo.shape[0]
-        examined += rows
-        if pending >= max_rows or not need:
-            block_counts, block_tails = _tally(n2, q, *map(np.concatenate, (firsts, seconds, pairs)))
-            counts.append(block_counts)
-            tails.append(block_tails)
-            firsts, seconds, pairs, pending = [], [], [], 0
+    labelled, batch, pending, examined = [], [], 0, 0
+    for seed_seq, need, later in zip(seeds, sizes, range(len(sizes) - 1, -1, -1)):
+        rng = np.random.default_rng(seed_seq)
+        while need:
+            rows = min(max_rows, math.ceil(need / accept))
+            lo, hi = _endpoints(rng.permuted(np.broadcast_to(owners, (rows, owners.size)), axis=1))
+            if simple:
+                kept = np.flatnonzero(_simple_rows(lo, hi, n1, n))[:need]
+                if kept.size == need:
+                    rows = int(kept[-1]) + 1
+                lo, hi = lo[kept], hi[kept]
+            first, second, row_pairs = _contract(n1, n2, lo, hi)
+            batch.append((first + pending * n2, second + pending * n2, row_pairs))
+            pending += lo.shape[0]
+            need -= lo.shape[0]
+            examined += rows
+            if pending * max(n2, 1) >= _BLOCK_VERTICES or not (need or later):
+                labelled.append(_tally(n2, q, *map(np.concatenate, zip(*batch))))
+                batch, pending = [], 0
+    counts, tails = zip(*labelled)
     return np.concatenate(counts), np.concatenate(tails), examined
 
 
@@ -339,15 +348,16 @@ def run_experiment(
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(CHUNK_REPS, n_reps - CHUNK_REPS * c) for c in range(n_chunks)]
     workers = min(workers, n_chunks)
+    # a few tasks of contiguous chunks per worker; a task labels its chunks together
+    step = -(-n_chunks // (4 * workers)) if workers > 1 else n_chunks
+    tasks = zip(*[(params, seeds[i : i + step], sizes[i : i + step]) for i in range(0, n_chunks, step)])
     if workers == 1:
-        parts = list(map(_sample_chunk, [params] * n_chunks, seeds, sizes))
+        parts = list(map(_sample_chunks, *tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # a few tasks per worker: chunks of tiny graphs take about a millisecond
-        chunksize = -(-n_chunks // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sample_chunk, [params] * n_chunks, seeds, sizes, chunksize=chunksize))
+            parts = list(pool.map(_sample_chunks, *tasks))
     return ExperimentResult(
         params=params,
         seed=seed,
@@ -364,9 +374,9 @@ def _csv_columns(q: int) -> list:
 
 def write_samples_csv(result: ExperimentResult, path: str) -> None:
     """CSV stream of the census matrix: rep_id, U_1..U_q, tail_count."""
-    header = ",".join(_csv_columns(result.params.q))
-    rows = np.column_stack((np.arange(result.n_reps), result.counts, result.tail_counts))
-    np.savetxt(path, rows, fmt="%d", delimiter=",", header=header, comments="")
+    rows = np.column_stack((np.arange(result.n_reps), result.counts, result.tail_counts)).tolist()
+    with open(path, "w") as fh:
+        fh.writelines(",".join(map(str, row)) + "\n" for row in [_csv_columns(result.params.q)] + rows)
 
 
 def sidecar_metadata(result: ExperimentResult) -> dict:

@@ -74,6 +74,22 @@ def test_batch_census_with_one_count_shifted_fails_the_structural_check(monkeypa
     assert result.details["batch_census_mismatches"] >= 1 and result.details["violations"] == 0
 
 
+def _doubled_edges(n1, n2, rng):
+    """A non-simple graph with the degree profile of (n1, n2), n2 >= 2:
+    paths of size 2, double edges, and a loop if n2 is odd."""
+    edges = [(v, v + 1) for v in range(0, n1, 2)] + 2 * [(v, v + 1) for v in range(n1, n1 + n2 - 1, 2)]
+    if n2 % 2:
+        edges.append((n1 + n2 - 1, n1 + n2 - 1))
+    return sampler.StubMultigraph(n1, n2, tuple(edges))
+
+
+def test_non_simple_draws_fail_the_structural_check_by_compensation_factor(monkeypatch):
+    monkeypatch.setattr(verify, "sample_simple", _doubled_edges)
+    result = verify.run_check(10)
+    assert not result.passed
+    assert result.details["violations"] >= 1 and result.details["batch_census_mismatches"] == 0
+
+
 def test_check_over_its_runtime_limit_fails(monkeypatch):
     def slow_check():
         time.sleep(0.01)

@@ -415,19 +415,42 @@ def test_census_rows_rejects_a_forged_row_after_good_ones():
 
 @pytest.mark.parametrize("model", ["simple", "multigraph"])
 def test_run_experiment_independent_of_labelling_batches(model, monkeypatch):
-    # n = 60: one block per chunk by default; 3-row blocks at 200 vertices,
-    # so each chunk is labelled in dozens of calls of under 6 rows
+    # n = 60, n2 = 20: by default the three chunks share one labelling call;
+    # at _BLOCK_VERTICES = 200 a block has 3 rows and a batch closes once its
+    # rows hold 200 degree-2 vertices, so it holds under 200 + 3*20 of them,
+    # and the 250 rows are labelled in over 20 calls
     p = GraphClassParams.from_alpha(1.0, 40, q=3, model=model)
-    wide = run_experiment(p, 250, seed=19)
     batches = []
     tally = sampler._tally
-    monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 200)
     monkeypatch.setattr(sampler, "_tally", lambda *args: batches.append(len(args[4])) or tally(*args))
+    wide = run_experiment(p, 250, seed=19)
+    assert batches == [250]
+    batches.clear()
+    monkeypatch.setattr(sampler, "_BLOCK_VERTICES", 200)
     narrow = run_experiment(p, 250, seed=19)
-    assert len(batches) >= 3 * 100 // 6 and max(batches) < 2 * 3
+    assert sum(batches) == 250 and len(batches) >= 250 // 12
+    assert max(batches) * p.n2 < 200 + 3 * p.n2
     assert np.array_equal(wide.counts, narrow.counts)
     assert np.array_equal(wide.tail_counts, narrow.tail_counts)
     assert wide.pairings_examined == narrow.pairings_examined
+
+
+def test_simple_rows_tests_each_row_on_its_own():
+    # n1 = 2, n2 = 4: a path 0-2-3-4-5-1, a double edge {4,5}, a loop at 2,
+    # and a 4-cycle that shares the edges {2,3}, {3,4}, {4,5} with the path
+    block = [
+        [(0, 2), (2, 3), (3, 4), (4, 5), (1, 5)],
+        [(0, 2), (2, 3), (1, 3), (4, 5), (4, 5)],
+        [(0, 1), (2, 2), (3, 4), (4, 5), (3, 5)],
+        [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)],
+    ]
+    expected = [True, False, False, True]
+    assert [StubMultigraph(2, 4, tuple(map(tuple, row))).is_simple for row in block] == expected
+    edges = np.array(block, dtype=np.int64)
+    lo, hi = edges[..., 0], edges[..., 1]
+    assert sampler._simple_rows(lo, hi, 2, 6).tolist() == expected
+    for r in range(4):
+        assert sampler._simple_rows(lo[r : r + 1], hi[r : r + 1], 2, 6).tolist() == [expected[r]]
 
 
 def test_run_experiment_mean_component_count():
@@ -512,7 +535,8 @@ def test_validate_structure_is_the_degree_check_exhaustively():
 def test_defect_counts_match_engine_rule(model):
     # blocks of pairings drawn as the engine draws them (rng.permuted over
     # rows of the stub-owner array); per row, StubMultigraph's derived counts
-    # agree with the engine's lo == hi and repeated-sorted-key rule
+    # agree with the lo == hi and repeated-sorted-key rule, and the engine's
+    # _simple_rows keeps exactly the simple rows
     rng = np.random.default_rng(43 if model == "simple" else 47)
     q = 3
     logs = rng.uniform(math.log(3), math.log(3000), 58)
@@ -531,6 +555,7 @@ def test_defect_counts_match_engine_rule(model):
             assert (g.loop_count, g.double_edge_count) == (row_loops, row_repeats)
             assert g.is_simple == (row_loops == row_repeats == 0)
             defective += not g.is_simple
+        assert sampler._simple_rows(lo, hi, n1, n).tolist() == [g.is_simple for g in graphs]
         if model == "multigraph":
             # a loop is a component of size 1
             counts, _ = census_rows(n1, n - n1, q, lo, hi)
@@ -599,3 +624,17 @@ def test_csv_and_sidecar(tmp_path):
     assert blob["chunk_reps"] == CHUNK_REPS
     assert blob["pairings_examined"] == r.pairings_examined >= 5
     assert blob["columns"][0] == "rep_id"
+
+
+@pytest.mark.parametrize("q", [2, 4, 8])
+@pytest.mark.parametrize("n_reps", [1, 250])
+def test_csv_bytes_equal_savetxt(q, n_reps, tmp_path):
+    rng = np.random.default_rng(q * 1000 + n_reps)
+    counts = rng.integers(0, 10**6, size=(n_reps, q))
+    tails = rng.integers(1, 50, size=n_reps)
+    r = sampler.ExperimentResult(GraphClassParams(40, 20, q=q), 0, 1, counts, tails, n_reps)
+    write_samples_csv(r, str(tmp_path / "written.csv"))
+    rows = np.column_stack((np.arange(n_reps), counts, tails))
+    header = ",".join(["rep_id"] + ["U_%d" % j for j in range(1, q + 1)] + ["tail_count"])
+    np.savetxt(tmp_path / "oracle.csv", rows, fmt="%d", delimiter=",", header=header, comments="")
+    assert (tmp_path / "written.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
