@@ -24,7 +24,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
 
@@ -454,6 +454,14 @@ def _tally(edge_lists, n1: int, n2: int, q: int, weight: Fraction) -> CensusPoly
     return CensusPolynomial(q, counts, weight * math.comb(n1 + n2, n1))
 
 
+@lru_cache(maxsize=16)
+def stub_owners(n1: int, n2: int) -> tuple:
+    """Vertex of each stub, one on each of the first n1 vertices and two on
+    each of the rest, in vertex order: the stub list a pairing matches, and
+    the sorted endpoint list of every graph with this degree profile."""
+    return tuple(range(n1)) + tuple(v for v in range(n1, n1 + n2) for _ in (0, 1))
+
+
 def _stub_pairings(owners):
     """Yield every perfect matching of the stub list as vertex pairs: the
     first stub pairs with each later stub in turn, then the rest are matched
@@ -477,8 +485,7 @@ def brute_force_multigraph(params: GraphClassParams) -> CensusPolynomial:
     m = n1 // 2 + n2
     if m > MATCHING_ENUM_LIMIT:
         raise ValueError("enumeration bound m <= %d exceeded" % MATCHING_ENUM_LIMIT)
-    owners = list(range(n1)) + [v for v in range(n1, n1 + n2) for _ in range(2)]
-    return _tally(_stub_pairings(owners), n1, n2, q, Fraction(1, 1 << n2))
+    return _tally(_stub_pairings(stub_owners(n1, n2)), n1, n2, q, Fraction(1, 1 << n2))
 
 
 def census_to_json(census: CensusPolynomial) -> dict:

@@ -4,10 +4,12 @@ optionally parallel experiment harness that draws and rejects a block of
 pairings per numpy call, and labels the degree-2 vertices of the accepted
 rows a budget's worth at a time, across chunk boundaries.
 
-The single-graph API is plain Python: sample_multigraph shuffles a Python
-list of stub owners with Generator.shuffle, which makes the same draws as
+The single-graph API is plain Python.  sample_multigraph shuffles a list of
+exact.stub_owners with Generator.shuffle, making the draws of
 Generator.permutation of the owner array, so it returns the graphs the
-block engine's rows hold, seed for seed.
+block engine's rows hold, seed for seed.  validate_structure compares a
+graph's sorted edge endpoints with those owners, and census then labels the
+components with UnionFind.
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ import os
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
 from .errors import EmptyClassError, StructuralError
-from .exact import GraphClassParams, census_exponents, check_counts, check_q, class_is_empty
+from .exact import (
+    GraphClassParams, census_exponents, check_counts, check_q, class_is_empty, stub_owners,
+)
 from .unionfind import UnionFind
 
 # replications per seeded chunk of run_experiment
@@ -44,7 +49,7 @@ class StubMultigraph:
 
     @property
     def loop_count(self) -> int:
-        return sum(a == b for a, b in self.edges)
+        return len([1 for a, b in self.edges if a == b])
 
     @property
     def double_edge_count(self) -> int:
@@ -58,8 +63,7 @@ class StubMultigraph:
 
 
 def _stub_owners(n1: int, n2: int) -> np.ndarray:
-    """Vertex of each stub: one stub on each of the first n1 vertices, two on
-    each of the rest."""
+    """exact.stub_owners(n1, n2) as an int64 array, for the block engine."""
     owners = np.empty(n1 + 2 * n2, dtype=np.int64)
     owners[:n1] = np.arange(n1)
     owners[n1::2] = np.arange(n1, n1 + n2)
@@ -82,11 +86,10 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     rng.permutation(_stub_owners(n1, n2)) and leaves rng in the same state."""
     check_counts(n1, n2)
     rng = np.random.default_rng(rng)
-    # j >> 1 over 2*n1 .. 2*(n1+n2)-1 lists each degree-2 vertex twice, as _stub_owners does
-    owners = list(range(n1)) + [j >> 1 for j in range(2 * n1, 2 * (n1 + n2))]
+    owners = list(stub_owners(n1, n2))
     rng.shuffle(owners)
     ends = iter(owners)
-    return StubMultigraph(n1, n2, tuple((a, b) if a <= b else (b, a) for a, b in zip(ends, ends)))
+    return StubMultigraph(n1, n2, tuple([(a, b) if a <= b else (b, a) for a, b in zip(ends, ends)]))
 
 
 def _check_nonempty(n1: int, n2: int, model: str) -> None:
@@ -121,18 +124,14 @@ class ComponentCensus:
     path_components: int
 
 
-def _labelled(g: StubMultigraph) -> UnionFind:
-    """Component labelling of g.  Raises StructuralError if an endpoint lies
-    outside 0..n1+n2-1 or the edge multiset does not realize the declared
-    degree profile (degree 1 on the first n1 vertices, 2 elsewhere)."""
-    n1, n = g.n1, g.n1 + g.n2
-    for a, b in g.edges:
-        if not (0 <= a < n and 0 <= b < n):
+def _check_profile(g: StubMultigraph) -> None:
+    """StructuralError unless g's sorted edge endpoints are its stub owners:
+    degree 1 on the first n1 vertices, 2 elsewhere (a loop counts twice)."""
+    ends = tuple(sorted(chain.from_iterable(g.edges)))
+    if ends != stub_owners(g.n1, g.n2):
+        if ends and (ends[0] < 0 or ends[-1] >= g.n1 + g.n2):
             raise StructuralError("edge endpoint outside the vertex range")
-    uf = UnionFind(n, g.edges)
-    if uf.degree[:n1] != [1] * n1 or uf.degree[n1:] != [2] * (n - n1):
         raise StructuralError("edge endpoints do not match the degree profile")
-    return uf
 
 
 def census(g: StubMultigraph, q: int) -> ComponentCensus:
@@ -141,7 +140,8 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
     component is a path or a cycle and each path holds two of the n1
     degree-1 vertices, so there are n1/2 paths."""
     q = check_q(q)
-    sizes = _labelled(g).component_sizes()
+    _check_profile(g)
+    sizes = UnionFind(g.n1 + g.n2, g.edges).component_sizes()
     counts = census_exponents(sizes, q)
     return ComponentCensus(
         counts=counts,
@@ -153,13 +153,13 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
 
 def validate_structure(g: StubMultigraph) -> None:
     """Raises StructuralError unless every component of g is a path or a
-    cycle, which holds exactly when g realizes its degree profile (degree 1
-    on the first n1 vertices, 2 elsewhere).  Proof: a connected component
-    with v vertices, t of degree 1 and the rest of degree 2, has v - t/2
-    edges; being connected it has at least v - 1, so t is 0 or 2.  With
-    t = 2 it has v - 1 edges and is a path; with t = 0 it has v edges and is
-    a cycle (a loop or a double edge counts as a cycle)."""
-    _labelled(g)
+    cycle, which holds exactly when its sorted edge endpoints are
+    exact.stub_owners(n1, n2), so no component is labelled.  Proof: a
+    connected component with v vertices, t of degree 1 and the rest of
+    degree 2, has v - t/2 edges; being connected it has at least v - 1, so
+    t is 0 or 2.  With t = 2 it has v - 1 edges and is a path; with t = 0 it
+    has v edges and is a cycle (a loop or a double edge counts as a cycle)."""
+    _check_profile(g)
 
 
 def compensation_factor(g: StubMultigraph) -> Fraction:

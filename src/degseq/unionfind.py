@@ -1,6 +1,6 @@
 """The single-graph component labeller: a disjoint-set forest (union by
-size, path halving) that also counts vertex degrees, used by census, the
-degree-profile check of validate_structure and the brute-force oracles.
+size, path halving) used by census and the brute-force oracles.  It labels
+components only; degree profiles are checked against exact.stub_owners.
 run_experiment labels batches of graphs with sampler.census_rows instead,
 which hands only their degree-2 vertices to scipy's connected_components."""
 
@@ -8,23 +8,19 @@ from __future__ import annotations
 
 
 class UnionFind:
-    """Components and degrees of the multigraph on vertices 0..n-1 with the
-    given edges (a loop (v, v) adds 2 to the degree of v)."""
+    """Components of the multigraph on vertices 0..n-1 with the given edges."""
 
-    __slots__ = ("parent", "size", "degree")
+    __slots__ = ("parent", "size")
 
     def __init__(self, n: int, edges=()):
         self.parent = list(range(n))
         self.size = [1] * n
-        self.degree = [0] * n
         self.add_edges(edges)
 
     def add_edges(self, edges) -> None:
         # root walks inline: census runs this once per sampled graph
-        parent, size, degree = self.parent, self.size, self.degree
+        parent, size = self.parent, self.size
         for a, b in edges:
-            degree[a] += 1
-            degree[b] += 1
             while parent[a] != a:
                 parent[a] = parent[parent[a]]
                 a = parent[a]

@@ -59,6 +59,17 @@ def test_non_psd_covariance_fails_the_psd_check(monkeypatch):
     assert result.details["alpha"] == 0.1 and result.details["min_eigenvalue"] < 0
 
 
+# Check 10 at one small batch per model: the negative controls below need
+# only a few graphs to fail it.
+SMALL_STRUCTURE_BATCHES = (("simple", 8, 6, 4, 1000), ("multigraph", 8, 6, 4, 1000))
+
+
+def test_structural_check_passes_on_small_batches():
+    details = verify.check_structural_invariants(batches=SMALL_STRUCTURE_BATCHES)
+    assert details["passed"] and details["samples"] == 2000
+    assert details["violations"] == details["batch_census_mismatches"] == 0
+
+
 def test_batch_census_with_one_count_shifted_fails_the_structural_check(monkeypatch):
     real = verify.census_rows
 
@@ -69,9 +80,9 @@ def test_batch_census_with_one_count_shifted_fails_the_structural_check(monkeypa
         return counts, tails
 
     monkeypatch.setattr(verify, "census_rows", census_rows)
-    result = verify.run_check(10)
-    assert not result.passed
-    assert result.details["batch_census_mismatches"] >= 1 and result.details["violations"] == 0
+    details = verify.check_structural_invariants(batches=SMALL_STRUCTURE_BATCHES)
+    assert not details["passed"]
+    assert details["batch_census_mismatches"] >= 1 and details["violations"] == 0
 
 
 def _doubled_edges(n1, n2, rng):
@@ -85,9 +96,9 @@ def _doubled_edges(n1, n2, rng):
 
 def test_non_simple_draws_fail_the_structural_check_by_compensation_factor(monkeypatch):
     monkeypatch.setattr(verify, "sample_simple", _doubled_edges)
-    result = verify.run_check(10)
-    assert not result.passed
-    assert result.details["violations"] >= 1 and result.details["batch_census_mismatches"] == 0
+    details = verify.check_structural_invariants(batches=SMALL_STRUCTURE_BATCHES)
+    assert not details["passed"]
+    assert details["violations"] >= 1 and details["batch_census_mismatches"] == 0
 
 
 def test_check_over_its_runtime_limit_fails(monkeypatch):

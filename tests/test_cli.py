@@ -545,7 +545,11 @@ def test_verify_structural_check_fails_on_forged_graph(tmp_path, capsys, monkeyp
         forged.append(StubMultigraph(n1, n2, ((a, a), *rest)))
         return forged[0]
 
+    def small_check():  # check 10 on one small batch of simple graphs
+        return verify.check_structural_invariants(batches=(("simple", 8, 6, 4, 1000),))
+
     monkeypatch.setattr(verify, "sample_simple", sample_simple)
+    monkeypatch.setattr(verify, "CHECKS", ((10, "structural-invariants", small_check),))
     report = tmp_path / "report.json"
     code, out, err = run_cli(["verify", "--only", "10", "--json", str(report)], capsys)
     assert code == 1 and "FAIL" in out and err == ""

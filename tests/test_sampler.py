@@ -3,7 +3,7 @@ import json
 import math
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -141,6 +141,22 @@ def test_validate_structure_rejects_forged_component():
         validate_structure(g)
     with pytest.raises(StructuralError):
         census(g, 2)
+
+
+def test_validate_structure_labels_no_component(monkeypatch):
+    # the check compares sorted endpoints with the stub owners; a labeller
+    # that raises is never reached, for a sampled graph or a forged one
+    def no_labelling(*args):
+        raise AssertionError("validate_structure labelled components")
+
+    monkeypatch.setattr(sampler, "UnionFind", no_labelling)
+    g = sample_multigraph(8, 6, 5)
+    validate_structure(g)
+    (a, b), *rest = g.edges
+    with pytest.raises(StructuralError, match="edge endpoints do not match the degree profile"):
+        validate_structure(StubMultigraph(8, 6, ((a, a), *rest)))
+    with pytest.raises(StructuralError, match="edge endpoint outside the vertex range"):
+        validate_structure(StubMultigraph(8, 6, ((a, 14), *rest)))
 
 
 def test_compensation_factor_matches_counter_formula():
@@ -496,9 +512,10 @@ def _two_pass_structure_ok(g):
     """The per-component rule validate_structure used to apply after the
     degree check: every component is a path (two degree-1 vertices,
     edges = vertices - 1) or a cycle (none, edges = vertices)."""
-    uf = UnionFind(g.n1 + g.n2, g.edges)
-    if uf.degree != [1] * g.n1 + [2] * g.n2:
+    degree = Counter(chain.from_iterable(g.edges))
+    if [degree[v] for v in range(g.n1 + g.n2)] != [1] * g.n1 + [2] * g.n2:
         return False
+    uf = UnionFind(g.n1 + g.n2, g.edges)
     edge_count = Counter(_root(uf, a) for a, _ in g.edges)
     deg1_count = Counter(_root(uf, v) for v in range(g.n1))
     for root, p in enumerate(uf.parent):
