@@ -454,7 +454,7 @@ def _tally(edge_lists, n1: int, n2: int, q: int, weight: Fraction) -> CensusPoly
     return CensusPolynomial(q, counts, weight * math.comb(n1 + n2, n1))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def stub_owners(n1: int, n2: int) -> tuple:
     """Vertex of each stub, one on each of the first n1 vertices and two on
     each of the rest, in vertex order: the stub list a pairing matches, and

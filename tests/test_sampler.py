@@ -152,11 +152,20 @@ def test_validate_structure_labels_no_component(monkeypatch):
     monkeypatch.setattr(sampler, "UnionFind", no_labelling)
     g = sample_multigraph(8, 6, 5)
     validate_structure(g)
-    (a, b), *rest = g.edges
+    (a, _), *rest = g.edges
     with pytest.raises(StructuralError, match="edge endpoints do not match the degree profile"):
         validate_structure(StubMultigraph(8, 6, ((a, a), *rest)))
     with pytest.raises(StructuralError, match="edge endpoint outside the vertex range"):
         validate_structure(StubMultigraph(8, 6, ((a, 14), *rest)))
+
+
+def test_float_vertex_counts_raise_after_the_int_profile_is_cached():
+    # stub_owners caches by argument type, so 8.0 never reads the entry of 8
+    g = sample_multigraph(8, 6, 1)
+    with pytest.raises(TypeError):
+        sample_multigraph(8.0, 6, 1)
+    with pytest.raises(TypeError):
+        validate_structure(StubMultigraph(8.0, 6, g.edges))
 
 
 def test_compensation_factor_matches_counter_formula():
