@@ -243,15 +243,17 @@ def check_poisson_limit(alpha=1.0, n1=2000, n_reps=20000, seed=SEED_POISSON) -> 
     return {"passed": verdict.passed, "seed": seed, "workers": workers, **verdict.details}
 
 
-def check_structural_invariants(batches=STRUCTURE_BATCHES, seed=SEED_STRUCTURE) -> dict:
+def check_structural_invariants(batches=STRUCTURE_BATCHES) -> dict:
     """Zero violations over the batches' sampled graphs, drawn in turn from
-    one generator seeded with seed: sizes sum to n1+n2, path count is n1/2,
-    every component is a path or a cycle, rejection output always has
-    compensation factor 1, and the batch labeller (census_rows, fed each
+    one generator seeded with SEED_STRUCTURE: sizes sum to n1+n2, path count
+    is n1/2, every component is a path or a cycle, rejection output always
+    has compensation factor 1, and the batch labeller (census_rows, fed each
     batch's edges as one block) gives census()'s counts row for row.  A
     StructuralError from census() or census_rows() is a violation."""
-    rng = np.random.default_rng(seed)
-    violations = mismatches = checked = 0
+    rng = np.random.default_rng(SEED_STRUCTURE)
+    violations = 0
+    mismatches = 0
+    checked = 0
     for model, n1, n2, q, reps in batches:
         draw = sample_simple if model == "simple" else sample_multigraph
         graphs = [draw(n1, n2, rng) for _ in range(reps)]
@@ -270,7 +272,10 @@ def check_structural_invariants(batches=STRUCTURE_BATCHES, seed=SEED_STRUCTURE) 
                 continue
             if row is not None and row != (list(c.counts), c.tail_count):
                 mismatches += 1
-            ok = c.component_sizes_sum == n1 + n2 and c.path_components == n1 // 2
+            ok = (
+                c.component_sizes_sum == n1 + n2
+                and c.path_components == n1 // 2
+            )
             if model == "simple" and compensation_factor(g) != 1:
                 ok = False
             violations += not ok
