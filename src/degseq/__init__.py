@@ -8,7 +8,8 @@ configuration-model Monte Carlo with moment and goodness-of-fit verdicts
 The namespace is lazy (PEP 562): ``degseq.<name>`` imports the submodule that
 defines the name and is never cached here, so a wrapper installed on the
 submodule is always seen.  ``import degseq.cli`` and ``degseq exact`` load
-neither numpy nor scipy, and ``degseq exact`` loads no degseq module but
+neither numpy nor scipy, nor dataclasses and inspect (the exact records are
+plain classes), and ``degseq exact`` loads no degseq module but
 cli, errors and exact: the reference modules series and unionfind are
 loaded only by the MPoly view of a census and the brute-force oracles, and
 ``asymptote`` loads neither; ``limit-law``, ``sample``, ``asymptote`` and

@@ -16,7 +16,7 @@ import math
 import sys
 
 from .errors import DegseqError
-from .exact import MODELS, GraphClassParams, census_json_text, graph_gf
+from .exact import MODELS, GraphClassParams, census_json_text, graph_gf, params_dict
 
 
 def _nonneg_int(text: str) -> int:
@@ -134,7 +134,6 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_asymptote(args) -> int:
-    from dataclasses import asdict
     from .asymptotics import _laplace_log_gf, _laplace_weights, contour_extract, saddle_data
 
     params = _params(args)
@@ -146,7 +145,7 @@ def _cmd_asymptote(args) -> int:
     weights = _laplace_weights(params, u)  # its checks come before params.alpha's
     sd = saddle_data(params.alpha, weights, args.model)
     payload = {
-        "params": asdict(params),
+        "params": params_dict(params),
         "u": u,
         "zeta": sd.zeta,
         "phi_second": sd.phi2,

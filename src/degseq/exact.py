@@ -23,7 +23,6 @@ import json
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
@@ -74,8 +73,33 @@ def check_q(q) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class GraphClassParams:
+class _Record:
+    """Immutable record of the fields named in ``__match_args__``, set once by
+    ``__init__``, with a frozen dataclass's ==, hash and repr."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other):  # only between instances of one class
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):  # TypeError for a record with a dict field
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join("%s=%r" % pair for pair in zip(self.__match_args__, self._values()))
+        return "%s(%s)" % (type(self).__qualname__, fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class GraphClassParams(_Record):
     """Instance descriptor: n1 degree-1 vertices, n2 degree-2 vertices,
     components of size up to q are tracked, model selects simple graphs or
     configuration-model multigraphs.
@@ -84,16 +108,13 @@ class GraphClassParams:
     return the zero polynomial); sampling and asymptotic routines reject it.
     """
 
-    n1: int
-    n2: int
-    q: int = 2
-    model: str = "simple"
+    __match_args__ = ("n1", "n2", "q", "model")
 
-    def __post_init__(self):
+    def __init__(self, n1: int, n2: int, q: int = 2, model: str = "simple") -> None:
         # TypeError unless an integer; numpy integers are stored as Python
         # ints, since the exact kernels' integer arithmetic must not wrap around
-        for name in ("n1", "n2", "q"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        vars(self).update(n1=operator.index(n1), n2=operator.index(n2), q=operator.index(q),
+                          model=model)
         check_counts(self.n1, self.n2, even_n1=False)  # odd n1: the empty class
         check_q(self.q)
         check_model(self.model)
@@ -116,8 +137,12 @@ class GraphClassParams:
         return 2.0 * self.n2 / self.n1
 
 
-@dataclass(frozen=True)
-class CensusPolynomial:
+def params_dict(params: GraphClassParams) -> dict:
+    """{n1, n2, q, model}: the "params" entry of the JSON outputs."""
+    return dict(zip(params.__match_args__, params._values()))
+
+
+class CensusPolynomial(_Record):
     """Joint census polynomial in integer form: the coefficient of u^e is
     scale * counts[e], the number of graphs (simple) or the total pairing
     mass (multigraph) with e_j components of size j.  The constructor divides
@@ -125,14 +150,12 @@ class CensusPolynomial:
     the zero polynomial has no counts and scale 0.  ``poly`` (an MPoly) and
     ``total`` (the coefficient sum) are built on first use."""
 
-    q: int
-    counts: dict
-    scale: Fraction
+    __match_args__ = ("q", "counts", "scale")
 
-    def __post_init__(self):
-        content = math.gcd(*self.counts.values())  # 0 for the zero polynomial
-        object.__setattr__(self, "counts", {e: a // content for e, a in self.counts.items()})
-        object.__setattr__(self, "scale", self.scale * content)
+    def __init__(self, q: int, counts: dict, scale: Fraction) -> None:
+        content = math.gcd(*counts.values())  # 0 for the zero polynomial
+        vars(self).update(q=q, counts={e: a // content for e, a in counts.items()},
+                          scale=scale * content)
 
     @property
     def is_empty(self) -> bool:
@@ -517,15 +540,22 @@ def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
     if census.is_empty:
         raise EmptyClassError("empty class: the census polynomial is zero")
     head = {
-        "params": asdict(params),
+        "params": params_dict(params),
         "q": census.q,
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }
     items = sorted(census.counts.items())
     keys = [",\n        ".join(map(str, e)) for e, _ in items]
-    # each row a * n / d in lowest terms by one gcd, as gcd(n, d) = 1
-    lists = [",\n".join(_TERM % (name, key, a // (g := math.gcd(a, d)) * n, d // g)
-                        for key, (_, a) in zip(keys, items))
+
+    def rows(name, n, d):
+        # each row a * n / d in lowest terms by one gcd, as gcd(n, d) = 1; the
+        # rows whose count is coprime to d share one decimal string of it
+        whole = str(d)
+        for key, (_, a) in zip(keys, items):
+            g = math.gcd(a, d)
+            yield _TERM % (name, key, a // g * n, whole if g == 1 else d // g)
+
+    lists = [",\n".join(rows(name, n, d))
              for name, (n, d) in (("exponents", census.scale.as_integer_ratio()),
                                   ("counts", (1, sum(census.counts.values()))))]
     return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import EmptyClassError, StructuralError
 from .exact import (
-    GraphClassParams, census_exponents, check_counts, check_q, class_is_empty, stub_owners,
+    GraphClassParams, census_exponents, check_counts, check_q, class_is_empty, params_dict,
+    stub_owners,
 )
 from .unionfind import UnionFind
 
@@ -387,6 +388,6 @@ def sidecar_metadata(result: ExperimentResult) -> dict:
         "n_reps": result.n_reps,
         "chunk_reps": CHUNK_REPS,
         "pairings_examined": result.pairings_examined,
-        "params": asdict(p),
+        "params": params_dict(p),
         "columns": _csv_columns(p.q),
     }

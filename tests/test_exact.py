@@ -1,11 +1,14 @@
+import copy
 import hashlib
 import json
 import math
+import pickle
 import time
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +202,51 @@ def test_census_constructor_divides_out_the_content():
     assert census.poly == MPoly(2, {(0, 1): 2, (2, 0): F(4, 3)})
     assert census.total == F(10, 3)
     assert CensusPolynomial(2, {}, F(5)) == CensusPolynomial(2, {}, F(0))
+
+
+RECORDS = [
+    # (record, an equal one built positionally, an unequal one, its field
+    # values, its repr)
+    (GraphClassParams(n1=4, n2=3, q=3, model="multigraph"), GraphClassParams(4, 3, 3, "multigraph"),
+     GraphClassParams(4, 3, q=3), (4, 3, 3, "multigraph"),
+     "GraphClassParams(n1=4, n2=3, q=3, model='multigraph')"),
+    (CensusPolynomial(q=2, counts={(0, 1): 6, (2, 0): 4}, scale=F(1, 3)),
+     CensusPolynomial(2, {(0, 1): 3, (2, 0): 2}, F(2, 3)),
+     CensusPolynomial(2, {(0, 1): 3, (2, 0): 2}, F(1, 3)), (2, {(0, 1): 3, (2, 0): 2}, F(2, 3)),
+     "CensusPolynomial(q=2, counts={(0, 1): 3, (2, 0): 2}, scale=Fraction(2, 3))"),
+]
+
+
+@pytest.mark.parametrize("record, same, other, values, text", RECORDS,
+                         ids=("GraphClassParams", "CensusPolynomial"))
+def test_records_compare_print_copy_and_refuse_changes_as_frozen_records(record, same, other,
+                                                                          values, text):
+    names = record.__match_args__
+    assert tuple(getattr(record, name) for name in names) == values
+    assert record == same and not record != same
+    assert record != other and not record == other
+    # == holds only between instances of one class
+    assert record != values and not record == values
+    assert record != SimpleNamespace(**dict(zip(names, values)))
+    assert record != type("Sub", (type(record),), {})(*values)
+    assert repr(record) == text
+    if isinstance(record, GraphClassParams):
+        assert hash(record) == hash(same) == hash(values)
+        assert {record: 1}[same] == 1
+    else:
+        with pytest.raises(TypeError):  # a dict field: unhashable
+            hash(record)
+        assert record.total == F(10, 3)  # a cached property travels with the copies
+    for clone in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record), copy.copy(record)):
+        assert type(clone) is type(record) and clone == record and repr(clone) == text
+        assert vars(clone) == vars(record)
+    with pytest.raises(AttributeError, match="cannot assign to field 'q'"):
+        record.q = 5
+    with pytest.raises(AttributeError, match="cannot assign to field 'extra'"):
+        record.extra = 1
+    with pytest.raises(AttributeError, match="cannot delete field 'q'"):
+        del record.q
+    assert tuple(getattr(record, name) for name in names) == values
 
 
 def test_poly_and_total_are_built_once():

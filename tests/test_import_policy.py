@@ -1,10 +1,11 @@
-"""Import policy: ``degseq exact`` runs without numpy or scipy, ``degseq
-limit-law`` and ``degseq asymptote`` without scipy, neither ``exact`` nor
-``asymptote`` loads the reference modules ``series`` and ``unionfind``, and
-the lazy ``degseq`` namespace still exports every name it did when it
-imported all submodules eagerly.  numpy is loaded by the submodules that use
-it (asymptotics, sampler, stats, verify); each of the two scipy pieces is
-imported inside the one function that uses it (census_rows, chi_square_gof)."""
+"""Import policy: ``degseq exact`` runs without numpy, scipy, dataclasses or
+inspect, ``degseq limit-law`` and ``degseq asymptote`` without scipy,
+neither ``exact`` nor ``asymptote`` loads the reference modules ``series``
+and ``unionfind``, and the lazy ``degseq`` namespace still exports every
+name it did when it imported all submodules eagerly.  numpy is loaded by the
+submodules that use it (asymptotics, sampler, stats, verify); each of the two
+scipy pieces is imported inside the one function that uses it (census_rows,
+chi_square_gof)."""
 
 import json
 import os
@@ -29,17 +30,20 @@ import degseq.cli
 out = sys.argv[1]
 codes = [degseq.cli.main(["exact", "--n1", "4", "--n2", "4", "--q", "8", "--out", os.path.join(out, "exact.json")])]
 after_exact = loaded("numpy") + loaded("scipy")
+stdlib_after_exact = [m for m in ("dataclasses", "inspect") if m in sys.modules]
 degseq_after_exact = loaded("degseq")
 codes.append(degseq.cli.main(["limit-law", "--alpha", "1", "--q", "4", "--out", os.path.join(out, "law.json")]))
 after_law = {"numpy": "numpy" in sys.modules, "scipy": loaded("scipy")}
 codes.append(degseq.cli.main(["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9",
                               "--out", os.path.join(out, "asym.json")]))
 after_asymptote = loaded("scipy")
+inspect_after_asymptote = "inspect" in sys.modules
 degseq_after_asymptote = loaded("degseq")
 degseq.run_experiment(degseq.GraphClassParams(4, 4, q=3), 5, seed=1)
 print(json.dumps({"codes": codes, "after_exact": after_exact, "after_law": after_law,
                   "after_asymptote": after_asymptote, "after_sample": loaded("scipy"),
-                  "degseq_after_exact": degseq_after_exact,
+                  "degseq_after_exact": degseq_after_exact, "stdlib_after_exact": stdlib_after_exact,
+                  "inspect_after_asymptote": inspect_after_asymptote,
                   "degseq_after_asymptote": degseq_after_asymptote}))
 """
 
@@ -74,14 +78,17 @@ def test_exact_and_limit_law_load_no_scipy(tmp_path):
     assert report["codes"] == [0, 0, 0]
     assert report["after_exact"] == []
     assert report["after_asymptote"] == []
+    # the exact records are plain classes: dataclasses would load inspect
+    assert report["stdlib_after_exact"] == []
     # the production paths import no reference code: the brute-force oracles
     # and the MPoly view load series and unionfind on first use
     assert report["degseq_after_exact"] == [
         "degseq", "degseq.cli", "degseq.errors", "degseq.exact"]
     assert not {"degseq.series", "degseq.unionfind"} & set(report["degseq_after_asymptote"])
-    # positive controls: the limit law loads numpy, the sampler's labeller
-    # loads scipy, and the probe sees both
+    # positive controls: the limit law loads numpy, numpy loads inspect, the
+    # sampler's labeller loads scipy, and the probe sees all three
     assert report["after_law"] == {"numpy": True, "scipy": []}
+    assert report["inspect_after_asymptote"]
     assert "scipy.sparse.csgraph" in report["after_sample"]
 
 

@@ -1,9 +1,10 @@
 import hashlib
 import json
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, combinations_with_replacement
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -301,9 +302,12 @@ def test_run_experiment_parallel_workers_deterministic():
 @pytest.mark.parametrize("model", ["simple", "multigraph"])
 def test_run_experiment_output_independent_of_workers(model):
     # 250 reps: two full chunks and a partial one
+    # the worker processes receive the params pickled, and a record rebuilt by
+    # pickle samples as the original does in-process
     p = GraphClassParams.from_alpha(1.0, 40, q=3, model=model)
     solo = run_experiment(p, 250, seed=7, workers=1)
-    pair = run_experiment(p, 250, seed=7, workers=2)
+    pair = run_experiment(pickle.loads(pickle.dumps(p)), 250, seed=7, workers=2)
+    assert pair.params == p and pair.workers == 2
     assert solo.counts.shape == (250, 3)
     assert np.array_equal(solo.counts, pair.counts)
     assert np.array_equal(solo.tail_counts, pair.tail_counts)
@@ -521,8 +525,11 @@ def _two_pass_structure_ok(g):
     """The per-component rule validate_structure used to apply after the
     degree check: every component is a path (two degree-1 vertices,
     edges = vertices - 1) or a cycle (none, edges = vertices)."""
-    degree = Counter(chain.from_iterable(g.edges))
-    if [degree[v] for v in range(g.n1 + g.n2)] != [1] * g.n1 + [2] * g.n2:
+    degree = [0] * (g.n1 + g.n2)
+    for a, b in g.edges:
+        degree[a] += 1
+        degree[b] += 1
+    if degree != [1] * g.n1 + [2] * g.n2:
         return False
     uf = UnionFind(g.n1 + g.n2, g.edges)
     edge_count = Counter(_root(uf, a) for a, _ in g.edges)
