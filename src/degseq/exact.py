@@ -80,7 +80,7 @@ class _Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
-    def __eq__(self, other):  # only between instances of one class
+    def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values() == other._values()
         return NotImplemented
