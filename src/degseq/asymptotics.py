@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,8 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finit
 BRENT_XTOL = 1e-30
 BRENT_RTOL = 4 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
+# radii the saddle solves search; at unit weights solve_zeta covers about 1e-13 < alpha < 1e13
+SADDLE_BRACKET = (1e-13, 1.0 - 1e-13)
 MAX_POINTS = 1 << 24  # contour points; peak memory ~48 B/point (measured at 2^20-2^22), ~0.8 GB
 
 
@@ -81,8 +84,7 @@ def z_log_deriv_path(z: float, u) -> float:
 
 def solve_zeta(alpha: float, u) -> float:
     """Radius in (0,1) where z * d/dz log Path(z,u) = alpha, by Brent's
-    method on the bracket [1e-13, 1 - 1e-13]; for u = 1 the root is
-    alpha/(1+alpha).
+    method on SADDLE_BRACKET; for u = 1 the root is alpha/(1+alpha).
 
     Convergence is judged by the bracket width alone (BRENT_RTOL, 4 ulp
     relative, plus BRENT_XTOL absolute): a residual bound cannot be met where
@@ -91,7 +93,7 @@ def solve_zeta(alpha: float, u) -> float:
     """
     check_alpha(alpha)
     w = _as_weights(u)
-    return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, 1e-13, 1.0 - 1e-13)
+    return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, *SADDLE_BRACKET)
 
 
 def _cycle_saddle(n2: int, u: list, model: str) -> float:
@@ -105,7 +107,7 @@ def _cycle_saddle(n2: int, u: list, model: str) -> float:
     def excess(z):
         return z**first / (2.0 * (1.0 - z)) + sum(c * z**j for j, c in w) / 2.0 - n2
 
-    return _brentq(excess, 1e-13, 1.0 - 1e-13)
+    return _brentq(excess, *SADDLE_BRACKET)
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -127,7 +129,7 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise DomainError("saddle bracket has no sign change; weights out of range")
+        raise DomainError("saddle bracket has no sign change; alpha or weights out of range")
     xblk = fblk = spre = scur = 0.0
     for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -261,10 +263,13 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     the full census generating-function value.  The default point count is
     the smallest power of two >= max(1024, 32 / (1 - zeta)), as the integrand
     sharpens when zeta nears 1; more than MAX_POINTS points raise DomainError,
-    and so does a cycle factor that overflows.  A coefficient beyond the
+    and so does a cycle factor that overflows; a points that is not an integer
+    raises TypeError before any solve.  A coefficient beyond the
     largest float gives inf, without warnings.  At n2 = 0 there is no saddle
     (alpha = 0) and no integral: the coefficient is u_2^{n1/2} in closed form.
     """
+    if points is not None:
+        points = operator.index(points)
     log_coefficient = _contour_log_coefficient(params, u, zeta, points)
     return math.exp(log_coefficient) if log_coefficient <= LOG_FLOAT_MAX else math.inf
 

@@ -62,43 +62,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_exact = sub.add_parser("exact", help="exact census polynomial and PMF")
+    # the flags several subcommands share, each declared once
+    q_model = argparse.ArgumentParser(add_help=False)
+    q_model.add_argument("--q", type=int, default=2)
+    q_model.add_argument("--model", choices=MODELS, default="simple")
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--n1", type=int, required=True)
+    group = instance.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n2", type=int)
+    group.add_argument("--alpha", type=float)
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--out", help="output JSON path (default stdout)")
+
+    p_exact = sub.add_parser("exact", parents=[q_model, json_out], help="exact census polynomial and PMF")
     p_exact.add_argument("--n1", type=int, required=True)
     p_exact.add_argument("--n2", type=int, required=True)
-    p_exact.add_argument("--q", type=int, default=2)
-    p_exact.add_argument("--model", choices=MODELS, default="simple")
-    p_exact.add_argument("--out", help="output JSON path (default stdout)")
 
-    p_law = sub.add_parser("limit-law", help="Gaussian/Poisson limit parameters")
+    p_law = sub.add_parser("limit-law", parents=[q_model, json_out], help="Gaussian/Poisson limit parameters")
     p_law.add_argument("--alpha", type=float, required=True)
-    p_law.add_argument("--q", type=int, default=2)
-    p_law.add_argument("--model", choices=MODELS, default="simple")
-    p_law.add_argument("--out", help="output JSON path (default stdout)")
 
-    p_sample = sub.add_parser("sample", help="Monte Carlo censuses to CSV")
-    p_sample.add_argument("--n1", type=int, required=True)
-    group = p_sample.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n2", type=int)
-    group.add_argument("--alpha", type=float)
-    p_sample.add_argument("--q", type=int, default=2)
-    p_sample.add_argument("--model", choices=MODELS, default="simple")
+    p_sample = sub.add_parser("sample", parents=[instance, q_model], help="Monte Carlo censuses to CSV")
     p_sample.add_argument("--N", type=int, default=1000, dest="n_reps")
     p_sample.add_argument("--seed", type=_nonneg_int, default=0)
-    p_sample.add_argument(
-        "--workers", type=int, default=None, help="default: the CPUs this process may run on"
-    )
+    p_sample.add_argument("--workers", type=int, help="default: the CPUs this process may run on")
     p_sample.add_argument("--out", required=True, help="CSV path; a .meta.json sidecar is written next to it")
 
-    p_asym = sub.add_parser("asymptote", help="saddle data and Laplace estimate")
-    p_asym.add_argument("--n1", type=int, required=True)
-    group = p_asym.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n2", type=int)
-    group.add_argument("--alpha", type=float)
-    p_asym.add_argument("--q", type=int, default=2)
-    p_asym.add_argument("--model", choices=MODELS, default="simple")
+    p_asym = sub.add_parser(
+        "asymptote", parents=[instance, q_model, json_out], help="saddle data and Laplace estimate"
+    )
     p_asym.add_argument("--u", help="comma-separated weights u_2..u_q (default all 1)")
     p_asym.add_argument("--u1", type=float, default=1.0, help="loop weight (multigraph)")
-    p_asym.add_argument("--out", help="output JSON path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--quick", action="store_true", help="numeric subset (< 1 min)")

@@ -15,6 +15,7 @@ components with UnionFind.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -65,11 +66,7 @@ class StubMultigraph:
 
 def _stub_owners(n1: int, n2: int) -> np.ndarray:
     """exact.stub_owners(n1, n2) as an int64 array, for the block engine."""
-    owners = np.empty(n1 + 2 * n2, dtype=np.int64)
-    owners[:n1] = np.arange(n1)
-    owners[n1::2] = np.arange(n1, n1 + n2)
-    owners[n1 + 1 :: 2] = np.arange(n1, n1 + n2)
-    return owners
+    return np.fromiter(stub_owners(n1, n2), np.int64, n1 + 2 * n2)
 
 
 def _endpoints(pairing: np.ndarray):
@@ -125,23 +122,13 @@ class ComponentCensus:
     path_components: int
 
 
-def _check_profile(g: StubMultigraph) -> None:
-    """StructuralError unless g's sorted edge endpoints are its stub owners:
-    degree 1 on the first n1 vertices, 2 elsewhere (a loop counts twice)."""
-    ends = tuple(sorted(chain.from_iterable(g.edges)))
-    if ends != stub_owners(g.n1, g.n2):
-        if ends and (ends[0] < 0 or ends[-1] >= g.n1 + g.n2):
-            raise StructuralError("edge endpoint outside the vertex range")
-        raise StructuralError("edge endpoints do not match the degree profile")
-
-
 def census(g: StubMultigraph, q: int) -> ComponentCensus:
     """Component census of g.  Raises StructuralError if the edge multiset
     does not realize the declared degree profile; once it does, every
     component is a path or a cycle and each path holds two of the n1
     degree-1 vertices, so there are n1/2 paths."""
     q = check_q(q)
-    _check_profile(g)
+    validate_structure(g)
     sizes = UnionFind(g.n1 + g.n2, g.edges).component_sizes()
     counts = census_exponents(sizes, q)
     return ComponentCensus(
@@ -160,7 +147,11 @@ def validate_structure(g: StubMultigraph) -> None:
     degree 2, has v - t/2 edges; being connected it has at least v - 1, so
     t is 0 or 2.  With t = 2 it has v - 1 edges and is a path; with t = 0 it
     has v edges and is a cycle (a loop or a double edge counts as a cycle)."""
-    _check_profile(g)
+    ends = tuple(sorted(chain.from_iterable(g.edges)))
+    if ends != stub_owners(g.n1, g.n2):
+        if ends and (ends[0] < 0 or ends[-1] >= g.n1 + g.n2):
+            raise StructuralError("edge endpoint outside the vertex range")
+        raise StructuralError("edge endpoints do not match the degree profile")
 
 
 def compensation_factor(g: StubMultigraph) -> Fraction:
@@ -339,7 +330,8 @@ def run_experiment(
     pairings of the row stream of child c of SeedSequence(seed), so workers
     only share out chunks, and a run of N replications is the first N rows of
     any longer run with the same seed.  Raises EmptyClassError for an empty
-    class."""
+    class, and TypeError unless n_reps and workers are integers."""
+    n_reps, workers = operator.index(n_reps), operator.index(workers)
     if n_reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:

@@ -1,8 +1,8 @@
 """The single-graph component labeller: a disjoint-set forest (union by
 size, path halving) used by census and the brute-force oracles.  It labels
 components only; degree profiles are checked against exact.stub_owners.
-run_experiment labels batches of graphs with sampler.census_rows instead,
-which hands only their degree-2 vertices to scipy's connected_components."""
+census_rows and run_experiment label batches of graphs with sampler._tally
+instead, which hands only their degree-2 vertices to connected_components."""
 
 from __future__ import annotations
 

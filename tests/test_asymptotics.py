@@ -173,6 +173,18 @@ def test_brentq_port_raises_package_errors():
         _brentq(lambda x: x + 2.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha", [1e-14, 1e14])
+def test_solve_zeta_beyond_the_bracket_names_alpha(alpha):
+    # at unit weights z Path'/Path = z/(1-z) spans about 1e-13..1e13 on the bracket
+    with pytest.raises(DomainError, match="no sign change; alpha or weights out of range"):
+        solve_zeta(alpha, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("alpha", [2e-13, 9e12])
+def test_solve_zeta_inside_the_bracket_solves(alpha):
+    assert solve_zeta(alpha, [1.0, 1.0]) == pytest.approx(alpha / (1.0 + alpha), rel=1e-3)
+
+
 def test_brentq_returns_an_end_of_the_bracket_that_is_an_exact_root():
     assert _brentq(lambda x: x - 0.5, 0.5, 1.0) == 0.5
     assert _brentq(lambda x: x - 1.0, 0.5, 1.0) == 1.0
@@ -322,6 +334,21 @@ def test_contour_extract_matches_exact():
     u_exact = [Fraction(1), Fraction(11, 10), Fraction(9, 10)]
     exact_u = float(graph_gf_value(p, u_exact) / v_factor(20, 10))
     assert contour_extract(p, u=[1.0, 1.1, 0.9]) == pytest.approx(exact_u, rel=1e-8)
+
+
+def test_contour_extract_checks_points_before_the_saddle_solve(monkeypatch):
+    from degseq import asymptotics
+
+    p = GraphClassParams(20, 10, q=3)
+    expected = contour_extract(p, points=1024)
+    assert contour_extract(p, points=np.int64(1024)) == expected
+
+    def no_solve(*args):
+        raise AssertionError("the saddle was solved before points was checked")
+
+    monkeypatch.setattr(asymptotics, "solve_zeta", no_solve)
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        contour_extract(p, points=1024.0)
 
 
 def test_contour_extract_multigraph_matches_exact():

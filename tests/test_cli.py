@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from degseq.cli import main
+from degseq.cli import _build_parser, main
 from degseq.exact import class_is_empty
 
 
@@ -317,6 +318,49 @@ def test_sample_conflicting_n2_alpha_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--n1", "4", "--n2", "2", "--alpha", "1"], ["--n1", "4"]],
+    ids=["both", "neither"],
+)
+def test_asymptote_takes_exactly_one_of_n2_and_alpha(capsys, args):
+    code, out, err = run_cli(["asymptote"] + args, capsys)
+    assert code == 2 and out == ""
+    assert "--n2" in err and "--alpha" in err
+
+
+def _typed(namespace):
+    return {name: (value, type(value)) for name, value in vars(namespace).items()}
+
+
+# the smallest valid argv of each subcommand and the namespace it parses to:
+# every option's name, default and type, whichever parser declares it
+FLAG_TABLE = {
+    "exact": (
+        ["--n1", "4", "--n2", "2"],
+        dict(n1=4, n2=2, q=2, model="simple", out=None),
+    ),
+    "limit-law": (["--alpha", "1"], dict(alpha=1.0, q=2, model="simple", out=None)),
+    "sample": (
+        ["--n1", "4", "--n2", "2", "--out", "x.csv"],
+        dict(n1=4, n2=2, alpha=None, q=2, model="simple", n_reps=1000, seed=0, workers=None,
+             out="x.csv"),
+    ),
+    "asymptote": (
+        ["--n1", "4", "--alpha", "1"],
+        dict(n1=4, n2=None, alpha=1.0, q=2, model="simple", u=None, u1=1.0, out=None),
+    ),
+    "verify": ([], dict(quick=False, only=None, json_path=None)),
+}
+
+
+@pytest.mark.parametrize("command", FLAG_TABLE)
+def test_flag_table_of_each_subcommand(command):
+    argv, expected = FLAG_TABLE[command]
+    namespace = _build_parser().parse_args([command] + argv)
+    assert _typed(namespace) == _typed(argparse.Namespace(command=command, **expected))
+
+
 def test_sample_empty_simple_class_exits_2(tmp_path, capsys):
     out = tmp_path / "s.csv"
     code, _, err = run_cli(
@@ -475,6 +519,12 @@ def test_asymptote_at_n2_zero_names_the_missing_saddle(capsys):
     code, out, err = run_cli(["asymptote", "--n1", "6", "--n2", "0", "--q", "3"], capsys)
     assert code == 2 and out == ""
     assert err == "error: n2 = 0 gives alpha = 0: there is no saddle point\n"
+
+
+def test_asymptote_beyond_the_saddle_bracket_names_alpha(capsys):
+    code, out, err = run_cli(["asymptote", "--n1", "2", "--alpha", "1e14"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: saddle bracket has no sign change; alpha or weights out of range\n"
 
 
 def test_asymptote_rejects_too_many_weights(capsys):

@@ -4,7 +4,8 @@ neither ``exact`` nor ``asymptote`` loads the reference modules ``series``
 and ``unionfind``, and the lazy ``degseq`` namespace still exports every
 name it did when it imported all submodules eagerly.  numpy is loaded by the
 submodules that use it (asymptotics, sampler, stats, verify); each of the two
-scipy pieces is imported inside the one function that uses it (census_rows,
+scipy pieces is imported inside the one function that uses it
+(sampler._tally, which census_rows and run_experiment call, and
 chi_square_gof)."""
 
 import json

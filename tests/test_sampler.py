@@ -321,6 +321,28 @@ def test_run_experiment_rejects_fewer_than_one_worker(workers):
         run_experiment(GraphClassParams(4, 2, q=3), 5, seed=0, workers=workers)
 
 
+@pytest.mark.parametrize(
+    "n_reps, workers",
+    [(5, 1.5), (5, 2.0), (250, 1.5), (5.0, 1), (0.5, 1)],
+    ids=["workers-1.5-one-chunk", "workers-2.0-one-chunk", "workers-1.5-three-chunks",
+         "n_reps-5.0", "n_reps-0.5"],
+)
+def test_run_experiment_checks_integer_arguments_on_entry(n_reps, workers):
+    # the empty class (one vertex of degree 2 has only a loop) is reported
+    # after the argument types, so each float is caught before anything else
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run_experiment(GraphClassParams(0, 1, q=3), n_reps, seed=0, workers=workers)
+
+
+def test_run_experiment_stores_integer_workers():
+    p = GraphClassParams(4, 2, q=3)
+    flagged = run_experiment(p, 5, seed=0, workers=True)
+    assert type(flagged.workers) is int and json.dumps(sidecar_metadata(flagged)["workers"]) == "1"
+    wide = run_experiment(p, np.int64(5), seed=0, workers=np.int64(1))
+    assert type(wide.workers) is int and json.loads(json.dumps(sidecar_metadata(wide)))["workers"] == 1
+    assert np.array_equal(wide.counts, flagged.counts)
+
+
 def _single_graph_rows(p, n_reps, seed):
     """Census rows and pairings drawn when chunk c runs the single-graph
     sampler (sample_simple's loop written out) on child c of
