@@ -107,15 +107,15 @@ def _cycle_saddle(n2: int, u: list, model: str) -> float:
     def excess(z):
         return z**first / (2.0 * (1.0 - z)) + sum(c * z**j for j, c in w) / 2.0 - n2
 
-    return _brentq(excess, *SADDLE_BRACKET)
+    return _brentq(excess, *SADDLE_BRACKET, name="n2")
 
 
-def _brentq(f, xpre: float, xcur: float) -> float:
+def _brentq(f, xpre: float, xcur: float, name: str = "alpha") -> float:
     """Root of f between xpre and xcur by Brent's method (Brent 1973, ch. 4),
     ported operation for operation from scipy's brentq.c so that the iterates,
     and the root, are the same floats as scipy.optimize.brentq's.  A NaN value
-    or ends of one sign raise DomainError; BRENT_MAXITER steps without
-    convergence raise ConvergenceError."""
+    or ends of one sign (then the message names name, alpha or n2) raise
+    DomainError; BRENT_MAXITER steps without convergence raise ConvergenceError."""
 
     def value(x):
         fx = f(x)
@@ -129,7 +129,7 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise DomainError("saddle bracket has no sign change; alpha or weights out of range")
+        raise DomainError("saddle bracket has no sign change; %s or weights out of range" % name)
     xblk = fblk = spre = scur = 0.0
     for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -226,22 +226,13 @@ def asymptotic_log_gf(params, u=None) -> float:
     Saddle is centered with the instance's effective ratio 2 n2/n1, which
     kills the linear phase exactly even when n2 came from flooring.
     """
-    u = _laplace_weights(params, u)
-    return _laplace_log_gf(params, saddle_data(params.alpha, u, params.model))
-
-
-def _laplace_weights(params, u):
-    """The Laplace estimate's checks: even n1 >= 2 and q weights (default 1)."""
     check_counts(params.n1, params.n2)
     if params.n1 < 2:
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
         raise DomainError("n2 = 0 gives alpha = 0: there is no saddle point")
-    return [1.0] * params.q if u is None else _as_weights(u, params.q)
-
-
-def _laplace_log_gf(params, sd: SaddleData) -> float:
-    """asymptotic_log_gf from the SaddleData at alpha = params.alpha."""
+    u = [1.0] * params.q if u is None else _as_weights(u, params.q)
+    sd = saddle_data(params.alpha, u, params.model)
     k = params.n1 // 2
     return (
         log_v_factor(params.n1, params.n2)
@@ -252,11 +243,11 @@ def _laplace_log_gf(params, sd: SaddleData) -> float:
     )
 
 
-def contour_extract(params, u=None, zeta: float | None = None, points: int | None = None) -> float:
+def contour_extract(params, u=None, points: int | None = None) -> float:
     """Coefficient of z^{n2} in the cycle-set/path-power product by trapezoid
-    quadrature of the Cauchy integral on the circle of radius zeta (default:
-    the saddle, of the path power for n1 > 0 and of z^{-n2} exp(Cyc) at
-    n1 = 0).
+    quadrature of the Cauchy integral on the saddle circle, of radius zeta:
+    the saddle of the path power for n1 > 0, and of z^{-n2} exp(Cyc) at
+    n1 = 0.
 
     The integrand is 2-pi-periodic and analytic, so the uniform trapezoid rule
     converges spectrally; multiplying by the relabelling prefactor recovers
@@ -270,7 +261,7 @@ def contour_extract(params, u=None, zeta: float | None = None, points: int | Non
     """
     if points is not None:
         points = operator.index(points)
-    log_coefficient = _contour_log_coefficient(params, u, zeta, points)
+    log_coefficient = _contour_log_coefficient(params, u, points)
     return math.exp(log_coefficient) if log_coefficient <= LOG_FLOAT_MAX else math.inf
 
 
@@ -281,7 +272,7 @@ def _roots_of_unity(points: int) -> np.ndarray:
     return roots
 
 
-def _contour_log_coefficient(params, u, zeta, points) -> float:
+def _contour_log_coefficient(params, u, points) -> float:
     """log of contour_extract's value from the normalised integrand
     exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
@@ -289,11 +280,10 @@ def _contour_log_coefficient(params, u, zeta, points) -> float:
     u = [1.0] * params.q if u is None else _as_weights(u, params.q)
     if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
         return params.n1 // 2 * math.log(u[1])
-    if zeta is None:
-        if params.n1 == 0:
-            zeta = _cycle_saddle(params.n2, u, params.model)
-        else:
-            zeta = solve_zeta(params.alpha, u)
+    if params.n1 == 0:
+        zeta = _cycle_saddle(params.n2, u, params.model)
+    else:
+        zeta = solve_zeta(params.alpha, u)
     log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))

@@ -19,13 +19,6 @@ from .errors import DegseqError
 from .exact import MODELS, GraphClassParams, census_json_text, graph_gf, params_dict
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
 def _write_json(obj, path):
     """Strict JSON to path or stdout; a non-finite top-level field is an
     error (exit 2) and nothing is written."""
@@ -83,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", parents=[instance, q_model], help="Monte Carlo censuses to CSV")
     p_sample.add_argument("--N", type=int, default=1000, dest="n_reps")
-    p_sample.add_argument("--seed", type=_nonneg_int, default=0)
+    p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--workers", type=int, help="default: the CPUs this process may run on")
     p_sample.add_argument("--out", required=True, help="CSV path; a .meta.json sidecar is written next to it")
 
@@ -127,7 +120,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_asymptote(args) -> int:
-    from .asymptotics import _laplace_log_gf, _laplace_weights, contour_extract, saddle_data
+    from .asymptotics import asymptotic_log_gf, contour_extract, saddle_data
 
     params = _params(args)
     u = [1.0] * args.q
@@ -135,8 +128,8 @@ def _cmd_asymptote(args) -> int:
     if args.u:
         tail = [float(x) for x in args.u.split(",")]
         u[1 : 1 + len(tail)] = tail
-    weights = _laplace_weights(params, u)  # its checks come before params.alpha's
-    sd = saddle_data(params.alpha, weights, args.model)
+    log_gf = asymptotic_log_gf(params, u)  # its checks come before params.alpha's
+    sd = saddle_data(params.alpha, u, args.model)
     payload = {
         "params": params_dict(params),
         "u": u,
@@ -144,8 +137,8 @@ def _cmd_asymptote(args) -> int:
         "phi_second": sd.phi2,
         "a_zero": sd.a0,
         "path_at_zeta": sd.path_at_zeta,
-        "log_gf_estimate": _laplace_log_gf(params, sd),
-        "coefficient_estimate": contour_extract(params, u, zeta=sd.zeta),
+        "log_gf_estimate": log_gf,
+        "coefficient_estimate": contour_extract(params, u),
     }
     _write_json(payload, args.out)
     return 0
@@ -155,7 +148,7 @@ def _cmd_verify(args) -> int:
     from . import verify as verify_mod
 
     known = [c[0] for c in verify_mod.CHECKS]
-    if args.only:
+    if args.only is not None:  # an empty or blank list is an error, not the whole battery
         numbers = [int(x) for x in args.only.split(",")]
     else:
         numbers = verify_mod.QUICK_CHECKS if args.quick else known

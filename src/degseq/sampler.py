@@ -330,12 +330,14 @@ def run_experiment(
     pairings of the row stream of child c of SeedSequence(seed), so workers
     only share out chunks, and a run of N replications is the first N rows of
     any longer run with the same seed.  Raises EmptyClassError for an empty
-    class, and TypeError unless n_reps and workers are integers."""
-    n_reps, workers = operator.index(n_reps), operator.index(workers)
+    class, and TypeError unless n_reps, workers and seed are integers."""
+    n_reps, workers, seed = operator.index(n_reps), operator.index(workers), operator.index(seed)
     if n_reps < 1:
         raise ValueError("need at least one replication")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     _check_nonempty(params.n1, params.n2, params.model)  # odd n1 included
     n_chunks = -(-n_reps // CHUNK_REPS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)

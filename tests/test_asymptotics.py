@@ -14,6 +14,7 @@ from degseq.asymptotics import (
     FD_STEP,
     _brentq,
     _contour_log_coefficient,
+    _cycle_saddle,
     a_zero,
     asymptotic_log_gf,
     central_hessian,
@@ -183,6 +184,15 @@ def test_solve_zeta_beyond_the_bracket_names_alpha(alpha):
 @pytest.mark.parametrize("alpha", [2e-13, 9e12])
 def test_solve_zeta_inside_the_bracket_solves(alpha):
     assert solve_zeta(alpha, [1.0, 1.0]) == pytest.approx(alpha / (1.0 + alpha), rel=1e-3)
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+def test_cycle_saddle_beyond_the_bracket_names_n2(model):
+    # at n1 = 0 there is no alpha: the saddle solves z Cyc'(z) = n2, which the
+    # bracket reaches up to about n2 = 5e12 at unit weights
+    with pytest.raises(DomainError, match="^saddle bracket has no sign change; n2 or weights out of range$"):
+        contour_extract(GraphClassParams(0, 10**13, q=3, model=model))
+    assert 1.0 - 1e-12 < _cycle_saddle(4 * 10**12, [1.0] * 3, model) < 1.0
 
 
 def test_brentq_returns_an_end_of_the_bracket_that_is_an_exact_root():
@@ -392,15 +402,6 @@ def test_contour_extract_at_n1_zero_matches_exact_on_random_instances():
         assert abs(math.log(got) - log_exact) <= 1e-11, (p, u)
 
 
-def test_contour_extract_off_saddle_radius_agrees():
-    # the Cauchy integral is radius-independent; quadrature at another radius
-    # must land on the same coefficient
-    p = GraphClassParams(6, 4, q=4)
-    a = contour_extract(p, zeta=0.3, points=2048)
-    b = contour_extract(p, zeta=0.6, points=2048)
-    assert a == pytest.approx(b, rel=1e-10)
-
-
 def test_contour_extract_guards():
     p = GraphClassParams(2, 1, q=3)
     with pytest.raises(ValueError):
@@ -422,7 +423,7 @@ def test_contour_log_coefficient_matches_exact_at_large_n1(n1, model):
     p = GraphClassParams.from_alpha(1.0, n1, q=3, model=model)
     exact = graph_gf_value(p, [Fraction(1), Fraction(11, 10), Fraction(9, 10)]) / v_factor(p.n1, p.n2)
     log_exact = math.log(exact.numerator) - math.log(exact.denominator)
-    assert abs(_contour_log_coefficient(p, [1.0, 1.1, 0.9], None, None) - log_exact) <= 1e-9
+    assert abs(_contour_log_coefficient(p, [1.0, 1.1, 0.9], None) - log_exact) <= 1e-9
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert contour_extract(p, [1.0, 1.1, 0.9]) == math.inf  # log_exact > 709.8
@@ -435,7 +436,7 @@ def test_contour_log_coefficient_approaches_laplace():
     gaps = []
     for n1 in (1280, 2000, 4000):
         p = GraphClassParams.from_alpha(0.5, n1, q=4)
-        contour = _contour_log_coefficient(p, u, None, None) + log_v_factor(p.n1, p.n2)
+        contour = _contour_log_coefficient(p, u, None) + log_v_factor(p.n1, p.n2)
         gaps.append(abs(contour - asymptotic_log_gf(p, u)))
     assert gaps[0] > gaps[1] > gaps[2]
 

@@ -404,8 +404,9 @@ def test_sample_rejects_negative_seed(tmp_path, capsys):
         ["sample", "--n1", "4", "--n2", "2", "--N", "5", "--seed", "-1", "--out", str(out)],
         capsys,
     )
+    # the library's check, reached before any draw
     assert code == 2
-    assert "--seed" in err and "nonnegative" in err
+    assert err == "error: seed must be nonnegative\n"
     assert not out.exists()
 
 
@@ -464,23 +465,6 @@ def test_asymptote_readme_example_matches_pinned_digest(capsys):
         u = [Fraction(x) for x in u]
         exact = float(graph_gf_value(params, u) / v_factor(params.n1, params.n2))
         assert json.loads(out)["coefficient_estimate"] == pytest.approx(exact, rel=1e-13, abs=0)
-
-
-def test_asymptote_solves_the_saddle_once(capsys, monkeypatch):
-    from degseq import asymptotics
-
-    calls = []
-    original = asymptotics.solve_zeta
-
-    def counted(alpha, u):
-        calls.append(alpha)
-        return original(alpha, u)
-
-    monkeypatch.setattr(asymptotics, "solve_zeta", counted)
-    args = ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,0.9"]
-    code, _, _ = run_cli(args + ["--model", "multigraph"], capsys)
-    assert code == 0
-    assert len(calls) == 1
 
 
 def test_asymptote_non_finite_exits_2(capsys, monkeypatch):
@@ -563,6 +547,18 @@ def test_verify_rejects_unknown_check_before_running_any(capsys, monkeypatch):
     code, out, err = run_cli(["verify", "--only", "3,99,0"], capsys)
     assert code == 2 and out == ""
     assert err == "error: no acceptance check numbered 99, 0\n"
+
+
+@pytest.mark.parametrize("only", ["", " "], ids=["empty", "blank"])
+def test_verify_rejects_an_empty_check_list_before_running_any(capsys, monkeypatch, only):
+    # an empty --only is not the whole battery
+    from degseq import verify
+
+    calls = []
+    monkeypatch.setattr(verify, "run_check", calls.append)
+    code, out, err = run_cli(["verify", "--only", only], capsys)
+    assert code == 2 and out == "" and calls == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_without_flags_runs_every_check(capsys, monkeypatch):

@@ -8,6 +8,8 @@ scipy pieces is imported inside the one function that uses it
 (sampler._tally, which census_rows and run_experiment call, and
 chi_square_gof)."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
@@ -100,6 +102,16 @@ def test_namespace_exports_the_eager_names():
     assert sorted(k for k in namespace if k != "__builtins__") == EXPORTED
     for name in EXPORTED:
         assert getattr(degseq, name) is namespace[name]
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # the command line and each pipeline reach one another through public names
+    for path in glob.glob(os.path.join(SRC, "degseq", "*.py")):
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("degseq")):
+                assert not [a.name for a in node.names if a.name.startswith("_")], path
 
 
 def test_series_reads_the_model_facts_from_exact():

@@ -343,6 +343,30 @@ def test_run_experiment_stores_integer_workers():
     assert np.array_equal(wide.counts, flagged.counts)
 
 
+def test_run_experiment_stores_an_integer_seed():
+    p = GraphClassParams(4, 2, q=3)
+    flagged = run_experiment(p, 5, seed=True)
+    assert type(flagged.seed) is int and json.dumps(sidecar_metadata(flagged)["seed"]) == "1"
+    wide = run_experiment(p, 5, seed=np.int64(7))
+    assert type(wide.seed) is int and json.loads(json.dumps(sidecar_metadata(wide)))["seed"] == 7
+    assert np.array_equal(wide.counts, run_experiment(p, 5, seed=7).counts)
+
+
+def test_run_experiment_rejects_a_negative_seed_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a chunk was drawn before the seed was checked")
+
+    monkeypatch.setattr(sampler, "_sample_chunks", no_draw)
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        run_experiment(GraphClassParams(4, 2, q=3), 5, seed=-1)
+
+
+def test_run_experiment_checks_an_integer_seed_on_entry():
+    # before the empty-class check, as n_reps and workers are
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run_experiment(GraphClassParams(0, 1, q=3), 5, seed=7.0)
+
+
 def _single_graph_rows(p, n_reps, seed):
     """Census rows and pairings drawn when chunk c runs the single-graph
     sampler (sample_simple's loop written out) on child c of
