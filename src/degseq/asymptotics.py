@@ -226,7 +226,6 @@ def asymptotic_log_gf(params, u=None) -> float:
     Saddle is centered with the instance's effective ratio 2 n2/n1, which
     kills the linear phase exactly even when n2 came from flooring.
     """
-    check_counts(params.n1, params.n2)
     if params.n1 < 2:
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
@@ -276,7 +275,6 @@ def _contour_log_coefficient(params, u, points) -> float:
     """log of contour_extract's value from the normalised integrand
     exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
-    check_counts(params.n1, params.n2)
     u = [1.0] * params.q if u is None else _as_weights(u, params.q)
     if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
         return params.n1 // 2 * math.log(u[1])

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -29,7 +30,7 @@ def _write_json(obj, path):
 
 
 def _write_text(text, path):
-    if path:
+    if path is not None:  # an empty path is an I/O error, not stdout
         with open(path, "w") as fh:
             fh.write(text)
     else:
@@ -87,8 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asym.add_argument("--u1", type=float, default=1.0, help="loop weight (multigraph)")
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    p_verify.add_argument("--quick", action="store_true", help="numeric subset (< 1 min)")
-    p_verify.add_argument("--only", help="comma-separated check numbers")
+    checks = p_verify.add_mutually_exclusive_group()
+    checks.add_argument("--quick", action="store_true", help="numeric subset (< 1 min)")
+    checks.add_argument("--only", help="comma-separated check numbers")
     p_verify.add_argument("--json", dest="json_path", help="write detailed results JSON")
 
     return parser
@@ -125,7 +127,7 @@ def _cmd_asymptote(args) -> int:
     params = _params(args)
     u = [1.0] * args.q
     u[0] = args.u1
-    if args.u:
+    if args.u is not None:  # an empty list is an error, not unit weights
         tail = [float(x) for x in args.u.split(",")]
         u[1 : 1 + len(tail)] = tail
     log_gf = asymptotic_log_gf(params, u)  # its checks come before params.alpha's
@@ -155,13 +157,16 @@ def _cmd_verify(args) -> int:
     unknown = [n for n in numbers if n not in known]
     if unknown:
         raise ValueError("no acceptance check numbered %s" % ", ".join(map(str, unknown)))
-    results = []
-    for number in numbers:  # each line is printed as soon as its check ends
-        results.append(verify_mod.run_check(number))
-        print(results[-1].line())
-    if args.json_path:
-        text = json.dumps([r.to_json() for r in results], indent=2, allow_nan=False)
-        _write_text(text + "\n", args.json_path)
+    if len(set(numbers)) < len(numbers):
+        raise ValueError("a check number is listed more than once")
+    # the report file is opened before any check runs: a bad path costs no battery
+    with contextlib.nullcontext() if args.json_path is None else open(args.json_path, "w") as out:
+        results = []
+        for number in numbers:  # each line is printed as soon as its check ends
+            results.append(verify_mod.run_check(number))
+            print(results[-1].line())
+        if out is not None:
+            out.write(json.dumps([r.to_json() for r in results], indent=2, allow_nan=False) + "\n")
     return 0 if all(r.passed for r in results) else 1
 
 

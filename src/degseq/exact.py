@@ -102,11 +102,9 @@ class _Record:
 class GraphClassParams(_Record):
     """Instance descriptor: n1 degree-1 vertices, n2 degree-2 vertices,
     components of size up to q are tracked, model selects simple graphs or
-    configuration-model multigraphs.
-
-    Odd n1 is representable (the class is then empty and census operations
-    return the zero polynomial); sampling and asymptotic routines reject it.
-    """
+    configuration-model multigraphs.  DomainError for an odd n1 (each path
+    has two ends); the empty classes of even n1, (0,1) and (0,2) in the
+    simple model, have the zero census."""
 
     __match_args__ = ("n1", "n2", "q", "model")
 
@@ -115,7 +113,7 @@ class GraphClassParams(_Record):
         # ints, since the exact kernels' integer arithmetic must not wrap around
         vars(self).update(n1=operator.index(n1), n2=operator.index(n2), q=operator.index(q),
                           model=model)
-        check_counts(self.n1, self.n2, even_n1=False)  # odd n1: the empty class
+        check_counts(self.n1, self.n2)
         check_q(self.q)
         check_model(self.model)
 
@@ -182,12 +180,11 @@ class CensusPolynomial(_Record):
         return dict(sorted(self._times(Fraction(1, sum(self.counts.values()))).terms.items()))
 
 
-def check_counts(n1: int, n2: int, even_n1: bool = True) -> None:
-    """DomainError unless n1, n2 >= 0 and, with even_n1, n1 is even (each
-    path has two ends)."""
+def check_counts(n1: int, n2: int) -> None:
+    """DomainError unless n1, n2 >= 0 and n1 is even (each path has two ends)."""
     if n1 < 0 or n2 < 0:
         raise DomainError("vertex counts must be nonnegative")
-    if even_n1 and n1 % 2:
+    if n1 % 2:
         raise DomainError("n1 must be even")
 
 
@@ -250,15 +247,12 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
     <= n); over L, the lcm of the term denominators, each term's integer sum
     is its count and v_factor / (D L) the scale, with no Fraction per term.
 
-    Odd n1 yields the zero polynomial (the class is empty: every path uses two
-    degree-1 endpoints).  Raises ValueError, before any work, when n1 + n2
-    exceeds EXACT_SIZE_LIMIT.
+    An empty class yields the zero polynomial.  Raises ValueError, before any
+    work, when n1 + n2 exceeds EXACT_SIZE_LIMIT.
     """
     if params.n1 + params.n2 > EXACT_SIZE_LIMIT:
         raise ValueError("graph_gf bound n1+n2 <= %d exceeded" % EXACT_SIZE_LIMIT)
     q, n2 = params.q, params.n2
-    if params.n1 % 2:
-        return CensusPolynomial(q, {}, Fraction(0))
     k, n = params.n1 // 2, params.n1 + n2
     first = check_model(params.model)
     scale, rows = _unmarked_rows(n2, k, q, max(q + 1, first))
@@ -353,8 +347,6 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     """
     if params.n1 + params.n2 > VALUE_SIZE_LIMIT:
         raise ValueError("graph_gf_value bound n1+n2 <= %d exceeded" % VALUE_SIZE_LIMIT)
-    if params.n1 % 2:
-        return Fraction(0)
     q, k = params.q, params.n1 // 2
     u = [Fraction(1)] * q if u_values is None else [as_fraction(x) for x in u_values]
     if len(u) != q:
@@ -401,17 +393,16 @@ def joint_pmf(params: GraphClassParams) -> dict:
 
 
 def class_is_empty(n1: int, n2: int, model: str) -> bool:
-    """Closed-form emptiness test.
+    """Closed-form emptiness test; DomainError for a negative count or odd n1.
 
-    Paths pair up degree-1 vertices, so odd n1 is always empty.  With n1 = 0
-    everything must sit in cycles, so 0 < n2 below the model's smallest cycle
-    size is empty: (0,1) and (0,2) for simple graphs, none for multigraphs.
-    Any even n1 >= 2 is realizable by stuffing all degree-2 vertices into one
-    path.
+    With n1 = 0 everything must sit in cycles, so 0 < n2 below the model's
+    smallest cycle size is empty: (0,1) and (0,2) for simple graphs, none for
+    multigraphs.  Any even n1 >= 2 is realizable by stuffing all degree-2
+    vertices into one path.
     """
     first = check_model(model)
-    check_counts(n1, n2, even_n1=False)
-    return n1 % 2 == 1 or (n1 == 0 and 0 < n2 < first)
+    check_counts(n1, n2)
+    return n1 == 0 and 0 < n2 < first
 
 
 def census_exponents(sizes, q: int) -> tuple:
@@ -487,8 +478,7 @@ def stub_owners(n1: int, n2: int) -> tuple:
 
 def _stub_pairings(owners):
     """Yield every perfect matching of the stub list as vertex pairs: the
-    first stub pairs with each later stub in turn, then the rest are matched
-    (none for an odd count)."""
+    first stub pairs with each later stub in turn, then the rest are matched."""
     if not owners:
         yield []
     for i in range(1, len(owners)):

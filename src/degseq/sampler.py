@@ -100,7 +100,6 @@ def sample_simple(n1: int, n2: int, rng=None) -> StubMultigraph:
     """Rejection-sample a uniform simple graph: redraw pairings until there
     is no loop and no double edge.  Raises EmptyClassError, before drawing,
     if no simple graph has this degree profile."""
-    check_counts(n1, n2)
     _check_nonempty(n1, n2, "simple")
     rng = np.random.default_rng(rng)
     while True:
@@ -338,7 +337,7 @@ def run_experiment(
         raise ValueError("workers must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    _check_nonempty(params.n1, params.n2, params.model)  # odd n1 included
+    _check_nonempty(params.n1, params.n2, params.model)
     n_chunks = -(-n_reps // CHUNK_REPS)
     seeds = np.random.SeedSequence(seed).spawn(n_chunks)
     sizes = [min(CHUNK_REPS, n_reps - CHUNK_REPS * c) for c in range(n_chunks)]

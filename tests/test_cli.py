@@ -126,7 +126,7 @@ def test_exact_writer_matches_indented_json(half_n1, n2, q, model):
 def test_exact_odd_n1_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "3", "--n2", "1"], capsys)
     assert code == 2
-    assert "empty class" in err
+    assert err == "error: n1 must be even\n"
 
 
 def test_exact_empty_class_exits_2(capsys):
@@ -224,8 +224,9 @@ def test_asymptote_rejects_non_finite_alpha_and_u1(capsys, flag, value):
     [
         ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--model", "multigraph", "--u1", "1e308"],
         ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", "1.1,inf"],
+        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3", "--u", ""],  # not unit weights
     ],
-    ids=["overflowing-u1", "infinite-u"],
+    ids=["overflowing-u1", "infinite-u", "empty-u"],
 )
 def test_asymptote_bad_weights_exit_2_without_traceback(capsys, args):
     code, out, err = run_cli(args, capsys)
@@ -385,6 +386,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys, args):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["exact", "--n1", "4", "--n2", "4", "--q", "8"],
+        ["limit-law", "--alpha", "1"],
+        ["asymptote", "--n1", "20", "--n2", "10", "--q", "3"],
+    ],
+    ids=["exact", "limit-law", "asymptote"],
+)
+def test_an_empty_out_path_is_an_error_not_stdout(capsys, args):
+    code, out, err = run_cli(args + ["--out", ""], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_sample_default_workers_are_the_cpus_the_process_may_use(tmp_path, capsys, monkeypatch):
@@ -559,6 +575,30 @@ def test_verify_rejects_an_empty_check_list_before_running_any(capsys, monkeypat
     code, out, err = run_cli(["verify", "--only", only], capsys)
     assert code == 2 and out == "" and calls == []
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--only", "3", "--json", ""],
+        ["--only", "3", "--json", "no/such/dir/report.json"],
+        ["--only", "3,5,3"],
+        ["--quick", "--only", "3"],
+    ],
+    ids=["empty-json-path", "unwritable-json-path", "repeated-check", "quick-with-only"],
+)
+def test_verify_rejects_bad_options_before_running_any(tmp_path, capsys, monkeypatch, args):
+    # each is one usage error before the battery starts, not a silently
+    # dropped flag, a check run twice or a report lost after the run
+    from degseq import verify
+
+    calls = []
+    monkeypatch.setattr(verify, "run_check", calls.append)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(["verify"] + args, capsys)
+    assert code == 2 and out == "" and calls == []
+    assert [line for line in err.splitlines() if "error:" in line] == err.splitlines()[-1:]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_without_flags_runs_every_check(capsys, monkeypatch):

@@ -284,3 +284,51 @@ def test_mul_commutative(a, b):
 @settings(max_examples=25, deadline=None)
 def test_mul_associative(a, b, c):
     assert (a * b) * c == a * (b * c)
+
+
+def test_mpoly_rejects_malformed_arguments():
+    with pytest.raises(ValueError, match=r"^exponent tuple \(1,\) does not have 2 entries$"):
+        MPoly(2, {(1,): 1})
+    for j in (0, 3):
+        with pytest.raises(ValueError, match="^variable index %d outside 1..2$" % j):
+            MPoly.variable(2, j)
+    with pytest.raises(ValueError, match="^variable-count mismatch: 2 vs 3$"):
+        MPoly.one(2) * MPoly.variable(3, 1)
+
+
+def test_truncated_series_rejects_malformed_arguments():
+    with pytest.raises(ValueError, match="^order must be >= 0$"):
+        TruncatedSeries(-1, 0, [])
+    with pytest.raises(ValueError, match="^need 3 coefficients, got 2$"):
+        TruncatedSeries(2, 0, [MPoly.one(0)] * 2)
+    with pytest.raises(ValueError, match="^coefficient variable count mismatch$"):
+        TruncatedSeries(1, 1, [MPoly.one(1), MPoly.zero(2)])
+    with pytest.raises(ValueError, match="^variable-count mismatch: 0 vs 1$"):
+        zero(2, 0) * zero(2, 1)
+    for exponent in (-1, 1.0):
+        with pytest.raises(ValueError, match="^exponent must be a natural number$"):
+            one(2, 0) ** exponent
+
+
+def test_comparisons_with_other_types_are_not_implemented():
+    p, s = MPoly.one(1), one(2, 1)
+    assert p.__eq__(1) is NotImplemented and p != 1
+    assert s.__eq__(p) is NotImplemented and s != p
+    assert s.__mul__(p) is NotImplemented
+    with pytest.raises(TypeError):
+        s * 2
+
+
+def test_product_with_a_zero_scalar_is_the_zero_polynomial():
+    u1 = MPoly.variable(2, 1)
+    for scalar in (0, F(0)):
+        product = u1 * scalar
+        assert product == MPoly.zero(2) and product.terms == {}
+
+
+def test_reprs_show_the_sorted_terms():
+    p = MPoly(2, {(0, 1): F(1, 2), (1, 0): 3})
+    assert repr(p) == "MPoly(2, {(0, 1): Fraction(1, 2), (1, 0): Fraction(3, 1)})"
+    assert repr(TruncatedSeries(1, 2, [p, MPoly.zero(2)])) == (
+        "TruncatedSeries(1, 2, [%r, MPoly(2, {})])" % p
+    )
