@@ -26,7 +26,7 @@ LOG_FLOAT_MAX = math.log(np.finfo(float).max)  # largest x whose exp(x) is finit
 BRENT_XTOL = 1e-30
 BRENT_RTOL = 4 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
-# radii the saddle solves search; at unit weights solve_zeta covers about 1e-13 < alpha < 1e13
+# radii the saddle solve searches; at unit weights it covers about 1e-13 < alpha < 1e13
 SADDLE_BRACKET = (1e-13, 1.0 - 1e-13)
 MAX_POINTS = 1 << 24  # contour points; peak memory ~48 B/point (measured at 2^20-2^22), ~0.8 GB
 
@@ -96,26 +96,12 @@ def solve_zeta(alpha: float, u) -> float:
     return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, *SADDLE_BRACKET)
 
 
-def _cycle_saddle(n2: int, u: list, model: str) -> float:
-    """Saddle radius of z^{-n2} exp(Cyc(z,u)), the root in (0,1) of
-    z Cyc'(z) = z^first/(2(1-z)) + sum_{j>=first} (u_j - 1) z^j/2 = n2, where
-    first is the model's smallest cycle size.  Cyc has nonnegative
-    coefficients, so z Cyc' rises from 0 to infinity on (0,1)."""
-    first = check_model(model)
-    w = [(j, x - 1.0) for j, x in enumerate(u, 1) if j >= first and x != 1.0]
-
-    def excess(z):
-        return z**first / (2.0 * (1.0 - z)) + sum(c * z**j for j, c in w) / 2.0 - n2
-
-    return _brentq(excess, *SADDLE_BRACKET, name="n2")
-
-
-def _brentq(f, xpre: float, xcur: float, name: str = "alpha") -> float:
+def _brentq(f, xpre: float, xcur: float) -> float:
     """Root of f between xpre and xcur by Brent's method (Brent 1973, ch. 4),
     ported operation for operation from scipy's brentq.c so that the iterates,
     and the root, are the same floats as scipy.optimize.brentq's.  A NaN value
-    or ends of one sign (then the message names name, alpha or n2) raise
-    DomainError; BRENT_MAXITER steps without convergence raise ConvergenceError."""
+    or ends of one sign raise DomainError; BRENT_MAXITER steps without
+    convergence raise ConvergenceError."""
 
     def value(x):
         fx = f(x)
@@ -129,7 +115,7 @@ def _brentq(f, xpre: float, xcur: float, name: str = "alpha") -> float:
     if fcur == 0:
         return xcur
     if (fpre < 0) == (fcur < 0):
-        raise DomainError("saddle bracket has no sign change; %s or weights out of range" % name)
+        raise DomainError("saddle bracket has no sign change; alpha or weights out of range")
     xblk = fblk = spre = scur = 0.0
     for _ in range(BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
@@ -244,9 +230,9 @@ def asymptotic_log_gf(params, u=None) -> float:
 
 def contour_extract(params, u=None, points: int | None = None) -> float:
     """Coefficient of z^{n2} in the cycle-set/path-power product by trapezoid
-    quadrature of the Cauchy integral on the saddle circle, of radius zeta:
-    the saddle of the path power for n1 > 0, and of z^{-n2} exp(Cyc) at
-    n1 = 0.
+    quadrature of the Cauchy integral on the saddle circle of the path power.
+    The domain is asymptotic_log_gf's, n1 >= 2 and n2 >= 1: outside it
+    params.alpha or check_alpha raises DomainError before any quadrature.
 
     The integrand is 2-pi-periodic and analytic, so the uniform trapezoid rule
     converges spectrally; multiplying by the relabelling prefactor recovers
@@ -254,10 +240,8 @@ def contour_extract(params, u=None, points: int | None = None) -> float:
     the smallest power of two >= max(1024, 32 / (1 - zeta)), as the integrand
     sharpens when zeta nears 1; more than MAX_POINTS points raise DomainError,
     and so does a cycle factor that overflows; a points that is not an integer
-    raises TypeError before any solve.  A coefficient beyond the
-    largest float gives inf, without warnings.  At n2 = 0 there is no saddle
-    (alpha = 0) and no integral: the coefficient is u_2^{n1/2} in closed form.
-    """
+    raises TypeError before any solve.  A coefficient beyond the largest
+    float gives inf, without warnings."""
     if points is not None:
         points = operator.index(points)
     log_coefficient = _contour_log_coefficient(params, u, points)
@@ -274,14 +258,10 @@ def _roots_of_unity(points: int) -> np.ndarray:
 def _contour_log_coefficient(params, u, points) -> float:
     """log of contour_extract's value from the normalised integrand
     exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
-    <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients)."""
+    <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients),
+    where zeta = solve_zeta(alpha, u) is the saddle of the path power."""
     u = [1.0] * params.q if u is None else _as_weights(u, params.q)
-    if params.n2 == 0:  # [z^0] exp(Cyc) Path^k = Path(0)^k = u_2^k
-        return params.n1 // 2 * math.log(u[1])
-    if params.n1 == 0:
-        zeta = _cycle_saddle(params.n2, u, params.model)
-    else:
-        zeta = solve_zeta(params.alpha, u)
+    zeta = solve_zeta(params.alpha, u)
     log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))
@@ -302,8 +282,7 @@ def _contour_log_coefficient(params, u, points) -> float:
         ratio = ratio * ratio
     integrand[1 : (points + 1) // 2] *= 2.0  # each also stands in for its mirror image
     mean = integrand.real.sum() / points
-    log_mean = math.log(mean) if mean > 0.0 else -math.inf  # a zero coefficient (or one lost to rounding)
-    return log_cycle + params.n1 // 2 * math.log(path_zeta) - params.n2 * math.log(zeta) + log_mean
+    return log_cycle + params.n1 // 2 * math.log(path_zeta) - params.n2 * math.log(zeta) + math.log(mean)
 
 
 def _ratios(alpha: float, q: int):

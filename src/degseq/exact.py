@@ -131,7 +131,7 @@ class GraphClassParams(_Record):
     def alpha(self) -> float:
         """Effective degree-2 to path ratio 2*n2/n1 of this instance."""
         if self.n1 == 0:
-            raise ValueError("alpha is undefined for n1 = 0")
+            raise DomainError("alpha is undefined for n1 = 0")
         return 2.0 * self.n2 / self.n1
 
 

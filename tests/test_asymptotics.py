@@ -1,7 +1,6 @@
 import cmath
 import json
 import math
-import random
 import warnings
 from fractions import Fraction
 
@@ -14,7 +13,6 @@ from degseq.asymptotics import (
     FD_STEP,
     _brentq,
     _contour_log_coefficient,
-    _cycle_saddle,
     a_zero,
     asymptotic_log_gf,
     central_hessian,
@@ -186,15 +184,6 @@ def test_solve_zeta_inside_the_bracket_solves(alpha):
     assert solve_zeta(alpha, [1.0, 1.0]) == pytest.approx(alpha / (1.0 + alpha), rel=1e-3)
 
 
-@pytest.mark.parametrize("model", ["simple", "multigraph"])
-def test_cycle_saddle_beyond_the_bracket_names_n2(model):
-    # at n1 = 0 there is no alpha: the saddle solves z Cyc'(z) = n2, which the
-    # bracket reaches up to about n2 = 5e12 at unit weights
-    with pytest.raises(DomainError, match="^saddle bracket has no sign change; n2 or weights out of range$"):
-        contour_extract(GraphClassParams(0, 10**13, q=3, model=model))
-    assert 1.0 - 1e-12 < _cycle_saddle(4 * 10**12, [1.0] * 3, model) < 1.0
-
-
 def test_brentq_returns_an_end_of_the_bracket_that_is_an_exact_root():
     assert _brentq(lambda x: x - 0.5, 0.5, 1.0) == 0.5
     assert _brentq(lambda x: x - 1.0, 0.5, 1.0) == 1.0
@@ -325,17 +314,6 @@ def test_contour_extract_small_case():
     assert contour_extract(p) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_contour_extract_at_n2_zero_is_the_closed_form():
-    # [z^0] exp(Cyc) Path^{n1/2} = u_2^{n1/2}: alpha = 0 has no saddle, so
-    # the saddle solve must not be reached
-    p = GraphClassParams(6, 0, q=3)
-    assert float(graph_gf_value(p, [1, Fraction(3, 2), 1]) / v_factor(6, 0)) == 27 / 8
-    assert contour_extract(p, [1, 1.5, 1]) == 27 / 8
-    p = GraphClassParams(40, 0, q=4, model="multigraph")
-    assert contour_extract(p, [2.0, 1.1, 0.5, 3.0]) == pytest.approx(1.1**20, rel=1e-14)
-    assert contour_extract(GraphClassParams(0, 0, q=2)) == 1.0
-
-
 def test_contour_extract_matches_exact():
     p = GraphClassParams(20, 10, q=3)
     exact = float(graph_gf_value(p) / v_factor(20, 10))
@@ -374,46 +352,32 @@ def test_contour_extract_default_points_converge_near_unit_zeta():
     assert contour_extract(p) == pytest.approx(exact, rel=1e-8)
 
 
-def test_contour_extract_at_n1_zero_matches_exact():
-    # the radius is the saddle of z^{-n2} exp(Cyc): at the fixed radius 0.5
-    # both coefficients came out 0.0
-    p = GraphClassParams(0, 60, q=3)
-    exact = float(graph_gf_value(p) / v_factor(0, 60))
-    assert contour_extract(p) == pytest.approx(exact, rel=1e-9)
-    p = GraphClassParams(0, 200, q=2, model="multigraph")
-    u = [Fraction(37, 24), Fraction(11, 18)]
-    exact = float(graph_gf_value(p, u) / v_factor(0, 200))
-    assert exact == pytest.approx(0.04744, rel=1e-4)
-    assert contour_extract(p, [float(x) for x in u]) == pytest.approx(exact, rel=1e-9)
-    assert contour_extract(GraphClassParams(0, 3, q=3)) == pytest.approx(1 / 6, rel=1e-15)
-    for n2 in (1, 2):  # no simple graph: only cycles, and none is shorter than 3
-        assert contour_extract(GraphClassParams(0, n2, q=3)) == 0.0
-
-
-def test_contour_extract_at_n1_zero_matches_exact_on_random_instances():
-    rng = random.Random(20141)
-    for _ in range(200):
-        q = rng.randint(2, 6)
-        p = GraphClassParams(0, rng.randint(3, 600), q=q, model=rng.choice(("simple", "multigraph")))
-        u = [Fraction(rng.randint(1, 1600), 40) for _ in range(q)]  # in [1/40, 40]
-        exact = graph_gf_value(p, u) / v_factor(0, p.n2)
-        log_exact = math.log(exact.numerator) - math.log(exact.denominator)
-        got = contour_extract(p, [float(x) for x in u])
-        assert abs(math.log(got) - log_exact) <= 1e-11, (p, u)
-
-
 def test_contour_extract_guards():
     p = GraphClassParams(2, 1, q=3)
     with pytest.raises(ValueError):
         contour_extract(p, points=32)
-    with pytest.raises(DomainError):
-        contour_extract(GraphClassParams(3, 1, q=3))
     # refused before any array is built: the default rule asks 2^25 points at
     # alpha = 600000
     with pytest.raises(DomainError, match="quadrature points exceed"):
         contour_extract(GraphClassParams(2, 600000, q=2))
     with pytest.raises(DomainError, match="quadrature points exceed"):
         contour_extract(p, points=2**25)
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+def test_contour_extract_outside_the_saddle_domain_raises_before_quadrature(model, monkeypatch):
+    # n1 = 0 has no alpha and n2 = 0 has alpha = 0: both are refused by the
+    # checks the saddle solve already makes, before any quadrature
+    from degseq import asymptotics
+
+    def no_quadrature(points):
+        raise AssertionError("the quadrature ran outside the saddle domain")
+
+    monkeypatch.setattr(asymptotics, "_roots_of_unity", no_quadrature)
+    with pytest.raises(DomainError, match="^alpha is undefined for n1 = 0$"):
+        contour_extract(GraphClassParams(0, 60, q=3, model=model))
+    with pytest.raises(DomainError, match="^alpha must be positive and finite$"):
+        contour_extract(GraphClassParams(6, 0, q=3, model=model), [1.0, 1.5, 1.0])
 
 
 @pytest.mark.parametrize("model", ["simple", "multigraph"])
@@ -563,22 +527,6 @@ def test_log_v_factor_rejects_negative_counts(n1, n2):
         log_v_factor(n1, n2)
 
 
-@pytest.mark.parametrize(
-    "call",
-    (
-        lambda: contour_extract(GraphClassParams(3, 4, q=3)),
-        lambda: asymptotic_log_gf(GraphClassParams(3, 4, q=3)),
-        lambda: log_v_factor(3, 4),
-    ),
-    ids=("contour_extract", "asymptotic_log_gf", "log_v_factor"),
-)
-def test_odd_n1_is_one_domain_error(call):
-    # one check (exact.check_counts) with one type, which is also a ValueError
-    with pytest.raises(DomainError, match="n1 must be even") as info:
-        call()
-    assert isinstance(info.value, ValueError)
-
-
 def test_chi_value_reads_q_first():
     with pytest.raises(TypeError):
         chi_value([0.0], 1.0, 2.5)
@@ -694,8 +642,6 @@ def test_asymptotic_log_gf_multigraph_close():
 
 
 def test_asymptotic_log_gf_guards():
-    with pytest.raises(DomainError):
-        asymptotic_log_gf(GraphClassParams(3, 1, q=2))
     with pytest.raises(DomainError):
         asymptotic_log_gf(GraphClassParams(0, 4, q=2))
 

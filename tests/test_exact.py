@@ -96,12 +96,13 @@ def test_odd_n1_is_one_domain_error_from_the_instance_on():
         lambda: sample_simple(3, 1, 0),
     )
     for call in calls:
-        with pytest.raises(DomainError, match="^n1 must be even$"):
+        with pytest.raises(DomainError, match="^n1 must be even$") as info:
             call()
+        assert isinstance(info.value, ValueError)
 
 
 def test_alpha_is_undefined_without_paths():
-    with pytest.raises(ValueError, match="alpha is undefined for n1 = 0"):
+    with pytest.raises(DomainError, match="alpha is undefined for n1 = 0"):
         GraphClassParams(0, 3).alpha
 
 
