@@ -29,8 +29,7 @@ _EXPORTS = {
               "brute_force_simple", "census_to_json", "class_is_empty",
               "graph_gf", "graph_gf_value", "joint_pmf", "v_factor"),
     "asymptotics": ("LimitLaw", "SaddleData", "asymptotic_log_gf", "contour_extract",
-                    "gradient_chi", "hessian_H", "limit_law", "phi_second", "saddle_data",
-                    "solve_zeta"),
+                    "gradient_chi", "hessian_H", "limit_law", "saddle_data", "solve_zeta"),
     "sampler": ("ComponentCensus", "ExperimentResult", "StubMultigraph", "census",
                 "compensation_factor", "run_experiment", "sample_multigraph", "sample_simple",
                 "validate_structure", "write_samples_csv"),

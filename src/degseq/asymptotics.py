@@ -2,6 +2,12 @@
 of the census generating function, trapezoid contour extraction of its
 coefficients, and the closed-form Gaussian/Poisson limit law.
 
+saddle_data is the one evaluator of the Laplace quantities: it checks the
+weights once, solves the saddle through solve_zeta, and evaluates Path,
+Path' and Path'' at zeta once for the phase curvature and the cycle factor.
+check_path_positive is the weight check alone, kept because the benchmark's
+span list patches it.
+
 Weight vectors ``u`` follow the package convention: length q, slot j-1 holds
 the weight on components of size j, slot 0 (loops) is only meaningful for
 multigraphs.
@@ -57,9 +63,9 @@ def path_value(z, u, k: int = 0):
 
 
 def _cycle_polynomial(z, u, model: str, acc=0.0):
-    """acc plus the cycle-component series less its log(1/(1-z))/2, in a_zero's
-    order: the sizes below the model's smallest cycle are taken out of the
-    log."""
+    """acc plus the cycle-component series less its log(1/(1-z))/2, in
+    _cycle_factor's order: the sizes below the model's smallest cycle are
+    taken out of the log."""
     first = check_model(model)
     for j in range(1, first):
         acc = acc - z**j / (2.0 * j)
@@ -76,15 +82,10 @@ def check_path_positive(u):
     _as_weights(u)
 
 
-def z_log_deriv_path(z: float, u) -> float:
-    """z * d/dz log(Path(z,u)); strictly increasing from 0 to infinity on
-    (0,1) for positive weights."""
-    return z * path_value(z, u, 1) / path_value(z, u)
-
-
 def solve_zeta(alpha: float, u) -> float:
     """Radius in (0,1) where z * d/dz log Path(z,u) = alpha, by Brent's
-    method on SADDLE_BRACKET; for u = 1 the root is alpha/(1+alpha).
+    method on SADDLE_BRACKET; for u = 1 the root is alpha/(1+alpha).  The
+    left side rises strictly from 0 to infinity on (0,1) for positive weights.
 
     Convergence is judged by the bracket width alone (BRENT_RTOL, 4 ulp
     relative, plus BRENT_XTOL absolute): a residual bound cannot be met where
@@ -93,7 +94,7 @@ def solve_zeta(alpha: float, u) -> float:
     """
     check_alpha(alpha)
     w = _as_weights(u)
-    return _brentq(lambda z: z_log_deriv_path(z, w) - alpha, *SADDLE_BRACKET)
+    return _brentq(lambda z: z * path_value(z, w, 1) / path_value(z, w) - alpha, *SADDLE_BRACKET)
 
 
 def _brentq(f, xpre: float, xcur: float) -> float:
@@ -150,29 +151,11 @@ def _brentq(f, xpre: float, xcur: float) -> float:
     raise ConvergenceError("saddle solve failed: no convergence in %d iterations" % BRENT_MAXITER)
 
 
-def phi_second(zeta: float, u) -> float:
-    """Second theta-derivative at 0 of the phase on the contour of radius
-    zeta: z g'(z) + z^2 g''(z) with g = log Path; equals alpha(1+alpha) at
-    u = 1."""
-    if not 0 < zeta < 1:
-        raise DomainError("zeta must lie in (0,1)")
-    u = _as_weights(u)
-    p = path_value(zeta, u)
-    g1 = path_value(zeta, u, 1) / p
-    g2 = path_value(zeta, u, 2) / p - g1 * g1
-    value = zeta * g1 + zeta * zeta * g2
-    if not 0 < value < math.inf:
-        raise DomainError("phase curvature is not positive and finite; weights out of range")
-    return value
-
-
-def a_zero(zeta: float, u, model: str = "simple") -> float:
-    """Cycle-set factor exp(Cycle(zeta, u)) at the contour center.  Raises
-    DomainError when it overflows a float."""
-    if not 0 < zeta < 1:
-        raise DomainError("zeta must lie in (0,1)")
-    zeta = float(zeta)
-    log_a0 = _cycle_polynomial(zeta, _as_weights(u), model, 0.5 * math.log(1.0 / (1.0 - zeta)))
+def _cycle_factor(zeta: float, u: list, model: str) -> float:
+    """Cycle-set factor exp(Cycle(zeta, u)) at the contour center, for checked
+    weights u and zeta in (0,1).  Raises DomainError when it overflows a
+    float."""
+    log_a0 = _cycle_polynomial(zeta, u, model, 0.5 * math.log(1.0 / (1.0 - zeta)))
     if not log_a0 <= LOG_FLOAT_MAX:
         raise DomainError("cycle factor exp(Cycle(zeta)) overflows; weights out of range")
     return math.exp(log_a0)
@@ -180,7 +163,9 @@ def a_zero(zeta: float, u, model: str = "simple") -> float:
 
 @dataclass(frozen=True, eq=False)
 class SaddleData:
-    """Everything the Laplace estimate needs at a given weight vector."""
+    """Everything the Laplace estimate needs at a given weight vector: the
+    saddle zeta, the phase curvature phi2 = z g'(z) + z^2 g''(z) at zeta with
+    g = log Path (alpha(1+alpha) at u = 1), the cycle factor a0 and Path(zeta)."""
 
     zeta: float
     phi2: float
@@ -189,14 +174,18 @@ class SaddleData:
 
 
 def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
+    """The saddle quantities of the Laplace estimate, each evaluated once.
+    DomainError when the curvature is not positive and finite or the cycle
+    factor overflows."""
     u = _as_weights(u)
     zeta = solve_zeta(alpha, u)
-    return SaddleData(
-        zeta=zeta,
-        phi2=phi_second(zeta, u),
-        a0=a_zero(zeta, u, model),
-        path_at_zeta=path_value(zeta, u),
-    )
+    p = path_value(zeta, u)
+    g1 = path_value(zeta, u, 1) / p
+    g2 = path_value(zeta, u, 2) / p - g1 * g1
+    phi2 = zeta * g1 + zeta * zeta * g2
+    if not 0 < phi2 < math.inf:
+        raise DomainError("phase curvature is not positive and finite; weights out of range")
+    return SaddleData(zeta=zeta, phi2=phi2, a0=_cycle_factor(zeta, u, model), path_at_zeta=p)
 
 
 def log_v_factor(n1: int, n2: int) -> float:
@@ -262,7 +251,7 @@ def _contour_log_coefficient(params, u, points) -> float:
     where zeta = solve_zeta(alpha, u) is the saddle of the path power."""
     u = [1.0] * params.q if u is None else _as_weights(u, params.q)
     zeta = solve_zeta(params.alpha, u)
-    log_cycle = math.log(a_zero(zeta, u, params.model))  # raises on overflow
+    log_cycle = math.log(_cycle_factor(zeta, u, params.model))  # raises on overflow
     if points is None:
         points = 1 << max(10, math.ceil(math.log2(32.0 / (1.0 - zeta))))
     if points < 64:

@@ -25,8 +25,7 @@ from .asymptotics import (
     contour_extract,
     hessian_H,
     limit_law,
-    phi_second,
-    solve_zeta,
+    saddle_data,
 )
 from .errors import StructuralError
 from .exact import (
@@ -126,9 +125,9 @@ def check_saddle_closed_form() -> dict:
     worst_phi2 = 0.0
     for alpha in (0.1, 0.5, 1.0, 2.0, 10.0):
         u = np.ones(4)
-        zeta = solve_zeta(alpha, u)
-        worst_zeta = max(worst_zeta, abs(zeta - alpha / (1 + alpha)))
-        worst_phi2 = max(worst_phi2, abs(phi_second(zeta, u) - alpha * (1 + alpha)))
+        sd = saddle_data(alpha, u)
+        worst_zeta = max(worst_zeta, abs(sd.zeta - alpha / (1 + alpha)))
+        worst_phi2 = max(worst_phi2, abs(sd.phi2 - alpha * (1 + alpha)))
     return {
         "passed": worst_zeta <= 1e-12 and worst_phi2 <= 1e-10,
         "max_zeta_err": worst_zeta,

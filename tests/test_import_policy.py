@@ -60,7 +60,7 @@ EXPORTED = [
     "census_to_json", "chi_square_gof", "class_is_empty",
     "compensation_factor", "contour_extract", "errors", "exact", "gaussian_check",
     "gradient_chi", "graph_gf", "graph_gf_value", "hessian_H", "joint_pmf", "limit_law",
-    "moment_report", "phi_second", "poisson_check", "psd_check", "run_experiment",
+    "moment_report", "poisson_check", "psd_check", "run_experiment",
     "saddle_data", "sample_multigraph", "sample_simple", "sampler", "series", "solve_zeta",
     "standardize", "stats", "unionfind", "v_factor", "validate_structure",
     "write_samples_csv",
