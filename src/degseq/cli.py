@@ -17,7 +17,7 @@ import math
 import sys
 
 from .errors import DegseqError
-from .exact import MODELS, GraphClassParams, census_json_text, graph_gf, params_dict
+from .exact import MODELS, GraphClassParams, graph_gf, params_dict, write_census_json
 
 
 def _write_json(obj, path):
@@ -26,15 +26,20 @@ def _write_json(obj, path):
     bad = [k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v)]
     if bad:
         raise DegseqError("non-finite result field(s): %s" % ", ".join(bad))
-    _write_text(json.dumps(obj, indent=2, allow_nan=False) + "\n", path)
+    text = json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    with _output(path) as fh:
+        fh.write(text)
 
 
-def _write_text(text, path):
-    if path is not None:  # an empty path is an I/O error, not stdout
+@contextlib.contextmanager
+def _output(path, stdout=True):
+    """The file at path, opened for writing, or with no path sys.stdout (None
+    if not stdout).  An empty path is an I/O error, not stdout."""
+    if path is not None:
         with open(path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout if stdout else None
 
 
 def _params(args) -> GraphClassParams:
@@ -98,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_exact(args) -> int:
     params = _params(args)
-    _write_text(census_json_text(params, graph_gf(params)), args.out)
+    census = graph_gf(params).nonzero()  # an empty class makes or cuts no --out file
+    with _output(args.out) as fh:
+        write_census_json(params, census, fh)
     return 0
 
 
@@ -160,7 +167,7 @@ def _cmd_verify(args) -> int:
     if len(set(numbers)) < len(numbers):
         raise ValueError("a check number is listed more than once")
     # the report file is opened before any check runs: a bad path costs no battery
-    with contextlib.nullcontext() if args.json_path is None else open(args.json_path, "w") as out:
+    with _output(args.json_path, stdout=False) as out:
         results = []
         for number in numbers:  # each line is printed as soon as its check ends
             results.append(verify_mod.run_check(number))

@@ -33,10 +33,10 @@ SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # graph_gf bound on n1 + n2.  Its time follows the number of census terms,
 # which grows steeply with q, and more in the multigraph model: on a 2-vCPU
 # host at n1 + n2 = 800, q = 2 takes 0.09 s at (400, 400) simple and 21 s
-# multigraph, q = 3 takes 4.7 s at (400, 400) and q = 4 8.1 s at (4, 796).
+# multigraph, q = 3 takes 4.4 s at (400, 400) and q = 4 7.7 s at (4, 796).
 EXACT_SIZE_LIMIT = 800
 # graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
-# host q = 2 takes 1.3 s at (4, 20000) and 2.6 s at (4, 29996).
+# host q = 2 takes 0.87 s at (4, 20000) and 2.1 s at (4, 29996).
 VALUE_SIZE_LIMIT = 30000
 MATCHING_ENUM_LIMIT = 6  # brute_force_multigraph bound on edge count m
 
@@ -159,6 +159,12 @@ class CensusPolynomial(_Record):
     def is_empty(self) -> bool:
         return not self.counts
 
+    def nonzero(self):
+        """This polynomial; EmptyClassError for the zero polynomial."""
+        if self.is_empty:
+            raise EmptyClassError("empty class: the census polynomial is zero")
+        return self
+
     def _times(self, c):
         from .series import MPoly  # the coefficient type; degseq exact never loads it
 
@@ -175,9 +181,8 @@ class CensusPolynomial(_Record):
     def pmf(self) -> dict:
         """Joint law of the census vector, keyed by sorted exponent tuple:
         each count over their sum.  EmptyClassError for the zero polynomial."""
-        if self.is_empty:
-            raise EmptyClassError("empty class: the census polynomial is zero")
-        return dict(sorted(self._times(Fraction(1, sum(self.counts.values()))).terms.items()))
+        total = sum(self.nonzero().counts.values())
+        return dict(sorted(self._times(Fraction(1, total)).terms.items()))
 
 
 def check_counts(n1: int, n2: int) -> None:
@@ -279,8 +284,9 @@ def graph_gf(params: GraphClassParams) -> CensusPolynomial:
         for y in range(lo, hi + 1):
             spare = n - w - size * y
             top = k - paths * y  # the x index is top - t
+            t0, t1 = d - paths * y, spare // long  # conditionals, not max and min calls
             total = 0
-            for t in range(max(0, d - paths * y), min(top, spare // long) + 1):
+            for t in range(t0 if t0 > 0 else 0, (top if top < t1 else t1) + 1):
                 total += rows[t][spare - long * t] * poly[top - t]
             if total:
                 e[size - 1] = y
@@ -374,10 +380,17 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     # (i, R^_i Q^_0^i) and (i, Q^_i Q^_0^{i-1}): the m-free factors of each sum
     r_terms = [(i, x * q0**i) for i, x in enumerate(r_hat) if x]
     q_terms = [(i, x * q0 ** (i - 1)) for i, x in enumerate(q_hat) if x and i]
-    g = [1]
-    for m in range(target):
-        acc = sum(ri * math.perm(m, i) * g[m - i] for i, ri in r_terms if i <= m)
-        acc -= sum(qi * math.perm(m, i) * g[m + 1 - i] for i, qi in q_terms if i <= m)
+    g, perm = [1], math.perm
+    for m in range(target):  # plain loops: both term lists run in increasing i
+        acc = 0
+        for i, ri in r_terms:
+            if i > m:
+                break
+            acc += ri * perm(m, i) * g[m - i]
+        for i, qi in q_terms:
+            if i > m:
+                break
+            acc -= qi * perm(m, i) * g[m + 1 - i]
         g.append(acc)
     f0 = n[0] ** k
     vf = v_factor(params.n1, params.n2)
@@ -515,38 +528,43 @@ def census_to_json(census: CensusPolynomial) -> dict:
     }
 
 
-# One {exponents|counts, num, den} term as json.dumps(indent=2) lays it out in a top-level list.
-_TERM = '    {\n      "%s": [\n        %s\n      ],\n      "num": %s,\n      "den": %s\n    }'
+# Rows joined and written at a time by write_census_json: few writes, and a
+# bounded slice of the output in memory.
+CHUNK_ROWS = 1024
 
 
-def census_json_text(params: GraphClassParams, census: CensusPolynomial) -> str:
-    """The ``degseq exact`` output: ``json.dumps(payload, indent=2) + "\\n"``
-    of {params, q, total, polynomial (as in census_to_json), pmf (the
-    {counts, num, den} rows of census.pmf())}, at a fraction of the cost:
-    the rows (count * scale, and count / sum of the counts) come from the
-    sorted counts with no Fraction, and are laid out from a template, as the
-    indented encoder is pure Python.  Raises EmptyClassError for an empty
-    class."""
-    if census.is_empty:
-        raise EmptyClassError("empty class: the census polynomial is zero")
+def write_census_json(params: GraphClassParams, census: CensusPolynomial, fh) -> None:
+    """Write the ``degseq exact`` output to the text file ``fh``:
+    ``json.dumps(payload, indent=2) + "\\n"`` of {params, q, total, polynomial
+    (as in census_to_json), pmf (the {counts, num, den} rows of census.pmf())},
+    at a fraction of the cost: the rows (count * scale, and count / sum of the
+    counts) come from the sorted counts with no Fraction, are laid out from a
+    template, as the indented encoder is pure Python, and are written
+    CHUNK_ROWS at a time, so the text is never held whole.  Raises
+    EmptyClassError for an empty class before writing anything."""
+    counts = census.nonzero().counts
     head = {
         "params": params_dict(params),
         "q": census.q,
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }
-    items = sorted(census.counts.items())
-    keys = [",\n        ".join(map(str, e)) for e, _ in items]
-
-    def rows(name, n, d):
-        # each row a * n / d in lowest terms by one gcd, as gcd(n, d) = 1; the
-        # rows whose count is coprime to d share one decimal string of it
-        whole = str(d)
-        for key, (_, a) in zip(keys, items):
-            g = math.gcd(a, d)
-            yield _TERM % (name, key, a // g * n, whole if g == 1 else d // g)
-
-    lists = [",\n".join(rows(name, n, d))
-             for name, (n, d) in (("exponents", census.scale.as_integer_ratio()),
-                                  ("counts", (1, sum(census.counts.values()))))]
-    return '%s,\n  "polynomial": [\n%s\n  ],\n  "pmf": [\n%s\n  ]\n}\n' % (
-        json.dumps(head, indent=2)[:-2], *lists)  # head without its closing "\n}"
+    exps = sorted(counts)
+    fh.write(json.dumps(head, indent=2)[:-2])  # without its closing "\n}"
+    for name, field, (n, d) in (("polynomial", "exponents", census.scale.as_integer_ratio()),
+                                ("pmf", "counts", (1, sum(counts.values())))):
+        # one {field, num, den} row as json.dumps(indent=2) lays it out in a
+        # top-level list, with a %d per exponent
+        row = ('    {\n      "%s": [\n        %s\n      ],\n      "num": %%d,\n'
+               '      "den": %%s\n    }' % (field, ",\n        ".join(["%d"] * census.q)))
+        whole = str(d)  # the den of every row whose count is coprime to d
+        fh.write(',\n  "%s": [\n' % name)
+        for start in range(0, len(exps), CHUNK_ROWS):
+            rows = []
+            for e in exps[start : start + CHUNK_ROWS]:
+                # a * n / d in lowest terms by one gcd, as gcd(n, d) = 1
+                a = counts[e]
+                g = math.gcd(a, d)
+                rows.append(row % (*e, a // g * n, whole if g == 1 else d // g))
+            fh.write((",\n" if start else "") + ",\n".join(rows))
+        fh.write("\n  ]")
+    fh.write("\n}\n")

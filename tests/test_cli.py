@@ -4,9 +4,11 @@ import hashlib
 import io
 import json
 import os
+import tempfile
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -95,32 +97,44 @@ def test_exact_output_at_larger_exponents_matches_pinned_digest(tmp_path, capsys
     st.integers(0, 10),
     st.integers(2, 6),
     st.sampled_from(("simple", "multigraph")),
+    st.booleans(),
 )
-@example(0, 3, 4, "multigraph")  # n1 = 0: cycles only
-@example(1, 2, 6, "simple")  # q > n1 + n2
+@example(0, 3, 4, "multigraph", False)  # n1 = 0: cycles only
+@example(1, 2, 6, "simple", False)  # q > n1 + n2
+@example(1, 0, 2, "simple", False)  # one row
+@example(1, 0, 2, "simple", True)
+@example(2, 96, 4, "simple", False)  # 1202 rows: more than one chunk
+@example(2, 96, 4, "simple", True)
 @settings(max_examples=60, deadline=None)
-def test_exact_writer_matches_indented_json(half_n1, n2, q, model):
+def test_exact_writer_matches_indented_json(half_n1, n2, q, model, to_file):
     # the template writer against the encoder it replaces, on the payload the
-    # command builds; includes n1 = 0 and q beyond the largest component
+    # command builds, to stdout or to an --out file; includes n1 = 0, q beyond
+    # the largest component, a one-row census and one of several chunks
     from degseq import cli
-    from degseq.exact import census_json_text, census_to_json
+    from degseq.exact import CHUNK_ROWS, census_to_json, write_census_json
 
     args = ["exact", "--n1", str(2 * half_n1), "--n2", str(n2), "--q", str(q), "--model", model]
-    with mock.patch.object(cli, "census_json_text", wraps=census_json_text) as spy:
-        with contextlib.redirect_stdout(io.StringIO()) as out:
-            code = main(args)
+    with contextlib.ExitStack() as stack:
+        spy = stack.enter_context(mock.patch.object(cli, "write_census_json", wraps=write_census_json))
+        out = stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        path = os.path.join(stack.enter_context(tempfile.TemporaryDirectory()), "census.json")
+        code = main(args + ["--out", path] if to_file else args)
+        written = [Path(path).read_text()] if os.path.exists(path) else []
+    text = out.getvalue() + "".join(written)  # the JSON twice if both were written
     if code == 2:  # an empty class, reported before any output
-        assert class_is_empty(2 * half_n1, n2, model) and out.getvalue() == ""
+        assert class_is_empty(2 * half_n1, n2, model) and text == "" and not spy.called
         return
     assert code == 0
     census = spy.call_args.args[1]
+    if (half_n1, n2, q) == (2, 96, 4):
+        assert len(census.counts) == 1202 > CHUNK_ROWS
     payload = {
         "params": {"n1": 2 * half_n1, "n2": n2, "q": q, "model": model},
         **census_to_json(census),
         "pmf": [{"counts": list(k), "num": p.numerator, "den": p.denominator}
                 for k, p in census.pmf().items()],
     }
-    assert out.getvalue() == json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    assert text == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def test_exact_odd_n1_exits_2(capsys):
@@ -133,6 +147,30 @@ def test_exact_empty_class_exits_2(capsys):
     code, _, err = run_cli(["exact", "--n1", "0", "--n2", "2"], capsys)
     assert code == 2
     assert "empty class" in err
+
+
+@pytest.mark.parametrize("args", [["--n1", "0", "--n2", "1"], ["--n1", "0", "--n2", "2", "--q", "3"]])
+@pytest.mark.parametrize("existing", [False, True])
+def test_exact_empty_class_leaves_out_untouched(tmp_path, capsys, args, existing):
+    # the class is found empty before --out is opened: no file is made, and
+    # an existing one keeps every byte
+    out = tmp_path / "census.json"
+    if existing:
+        out.write_bytes(b"earlier output\n")
+    code, stdout, err = run_cli(["exact"] + args + ["--out", str(out)], capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: empty class") and len(err.splitlines()) == 1
+    if existing:
+        assert out.read_bytes() == b"earlier output\n"
+    else:
+        assert not out.exists()
+
+
+def test_exact_out_naming_a_directory_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(["exact", "--n1", "2", "--n2", "0", "--out", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_beyond_size_bound_exits_2_at_once(capsys):

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import io
 import json
 import math
 import pickle
@@ -24,13 +25,13 @@ from degseq.exact import (
     as_fraction,
     brute_force_multigraph,
     brute_force_simple,
-    census_json_text,
     census_to_json,
     class_is_empty,
     graph_gf,
     graph_gf_value,
     joint_pmf,
     v_factor,
+    write_census_json,
 )
 from degseq.sampler import sample_multigraph, sample_simple
 from degseq.series import MPoly, build_cycle_series, build_path_series
@@ -439,10 +440,12 @@ def test_pmf_is_each_coefficient_over_the_total(n1, n2, q, model):
 
 
 @pytest.mark.parametrize("n1, n2", [(0, 1), (0, 2)])
-def test_census_json_text_raises_for_an_empty_class(n1, n2):
+def test_write_census_json_raises_for_an_empty_class(n1, n2):
     p = GraphClassParams(n1, n2, q=3)
+    fh = io.StringIO()
     with pytest.raises(EmptyClassError):
-        census_json_text(p, graph_gf(p))
+        write_census_json(p, graph_gf(p), fh)
+    assert fh.getvalue() == ""
 
 
 def test_joint_pmf_empty_class_raises():
