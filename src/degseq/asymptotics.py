@@ -5,8 +5,8 @@ coefficients, and the closed-form Gaussian/Poisson limit law.
 saddle_data is the one evaluator of the Laplace quantities: it checks the
 weights once, solves the saddle through solve_zeta, and evaluates Path,
 Path' and Path'' at zeta once for the phase curvature and the cycle factor.
-check_path_positive is the weight check alone, kept because the benchmark's
-span list patches it.
+check_path_positive is the one weight check: solve_zeta, saddle_data,
+asymptotic_log_gf and the contour all read their weights through it.
 
 Weight vectors ``u`` follow the package convention: length q, slot j-1 holds
 the weight on components of size j, slot 0 (loops) is only meaningful for
@@ -37,9 +37,11 @@ SADDLE_BRACKET = (1e-13, 1.0 - 1e-13)
 MAX_POINTS = 1 << 24  # contour points; peak memory ~48 B/point (measured at 2^20-2^22), ~0.8 GB
 
 
-def _as_weights(u, q=None) -> list:
-    """The checked weights as Python floats: the scalar evaluators run ~2x
-    faster on them, and they overflow to inf without numpy's warnings."""
+def check_path_positive(u, q=None) -> list:
+    """The weights as Python floats, checked positive and finite, so that each
+    z^i coefficient of the path series (u_{i+2} or 1), hence Path on (0,1), is
+    positive; the scalar evaluators run ~2x faster on Python floats, and they
+    overflow to inf without numpy's warnings."""
     w = np.asarray(u, dtype=float)
     if w.ndim != 1 or w.size < 2:
         raise ValueError("weight vector must be 1-d with length >= 2")
@@ -76,12 +78,6 @@ def _cycle_polynomial(z, u, model: str, acc=0.0):
     return acc
 
 
-def check_path_positive(u):
-    """DomainError unless every weight is positive and finite: then so is each
-    z^i coefficient of the path series (u_{i+2} or 1), hence Path on (0,1)."""
-    _as_weights(u)
-
-
 def solve_zeta(alpha: float, u) -> float:
     """Radius in (0,1) where z * d/dz log Path(z,u) = alpha, by Brent's
     method on SADDLE_BRACKET; for u = 1 the root is alpha/(1+alpha).  The
@@ -93,7 +89,7 @@ def solve_zeta(alpha: float, u) -> float:
     past it.
     """
     check_alpha(alpha)
-    w = _as_weights(u)
+    w = check_path_positive(u)
     return _brentq(lambda z: z * path_value(z, w, 1) / path_value(z, w) - alpha, *SADDLE_BRACKET)
 
 
@@ -177,7 +173,7 @@ def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
     """The saddle quantities of the Laplace estimate, each evaluated once.
     DomainError when the curvature is not positive and finite or the cycle
     factor overflows."""
-    u = _as_weights(u)
+    u = check_path_positive(u)
     zeta = solve_zeta(alpha, u)
     p = path_value(zeta, u)
     g1 = path_value(zeta, u, 1) / p
@@ -205,7 +201,7 @@ def asymptotic_log_gf(params, u=None) -> float:
         raise DomainError("the Laplace estimate needs n1 >= 2")
     if params.n2 == 0:
         raise DomainError("n2 = 0 gives alpha = 0: there is no saddle point")
-    u = [1.0] * params.q if u is None else _as_weights(u, params.q)
+    u = [1.0] * params.q if u is None else check_path_positive(u, params.q)
     sd = saddle_data(params.alpha, u, params.model)
     k = params.n1 // 2
     return (
@@ -249,7 +245,7 @@ def _contour_log_coefficient(params, u, points) -> float:
     exp(Cyc(w) - Cyc(zeta)) (Path(w)/Path(zeta))^k e^{-i n2 theta}, k = n1/2, of modulus
     <= 1 (nonnegative series coefficients), on theta <= pi (real coefficients),
     where zeta = solve_zeta(alpha, u) is the saddle of the path power."""
-    u = [1.0] * params.q if u is None else _as_weights(u, params.q)
+    u = [1.0] * params.q if u is None else check_path_positive(u, params.q)
     zeta = solve_zeta(params.alpha, u)
     log_cycle = math.log(_cycle_factor(zeta, u, params.model))  # raises on overflow
     if points is None:
@@ -323,7 +319,8 @@ def chi_value(t, alpha: float, q: int) -> float:
     if t.shape != (q - 1,):
         raise ValueError("t must have length q-1 (components 2..q)")
     u = np.ones(q)
-    u[1:] = np.exp(t)
+    with np.errstate(over="ignore"):  # an inf weight is check_path_positive's DomainError
+        u[1:] = np.exp(t)
     zeta_u = solve_zeta(alpha, u)
     zeta_1 = alpha / (1.0 + alpha)
     return float(
@@ -345,14 +342,7 @@ class LimitLaw:
     poisson_lambda: float | None
 
     def to_json(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "q": self.q,
-            "model": self.model,
-            "mean_coeffs": [float(x) for x in self.mean_coeffs],
-            "hessian": [[float(x) for x in row] for row in self.hessian],
-            "poisson_lambda": self.poisson_lambda,
-        }
+        return {**vars(self), "mean_coeffs": self.mean_coeffs.tolist(), "hessian": self.hessian.tolist()}
 
 
 def limit_law(alpha: float, q: int, model: str = "simple") -> LimitLaw:

@@ -51,8 +51,6 @@ def as_fraction(value) -> Fraction:
     kernel exact."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, float):
         raise TypeError("exact kernel does not accept floats: %r" % (value,))
     return Fraction(value)
@@ -486,6 +484,7 @@ def stub_owners(n1: int, n2: int) -> tuple:
     """Vertex of each stub, one on each of the first n1 vertices and two on
     each of the rest, in vertex order: the stub list a pairing matches, and
     the sorted endpoint list of every graph with this degree profile."""
+    check_counts(n1, n2)
     return tuple(range(n1)) + tuple(v for v in range(n1, n1 + n2) for _ in (0, 1))
 
 

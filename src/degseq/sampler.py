@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import EmptyClassError, StructuralError
 from .exact import (
-    GraphClassParams, census_exponents, check_counts, check_q, class_is_empty, params_dict,
+    GraphClassParams, census_exponents, check_q, class_is_empty, params_dict,
     stub_owners,
 )
 from .unionfind import UnionFind
@@ -82,9 +82,8 @@ def sample_multigraph(n1: int, n2: int, rng=None) -> StubMultigraph:
     stub owners, then consecutive pairs); deterministic given the generator
     state.  Shuffling the owner list makes the draws of
     rng.permutation(_stub_owners(n1, n2)) and leaves rng in the same state."""
-    check_counts(n1, n2)
+    owners = list(stub_owners(n1, n2))  # checks the counts before the generator
     rng = np.random.default_rng(rng)
-    owners = list(stub_owners(n1, n2))
     rng.shuffle(owners)
     ends = iter(owners)
     return StubMultigraph(n1, n2, tuple([(a, b) if a <= b else (b, a) for a, b in zip(ends, ends)]))
@@ -141,7 +140,8 @@ def census(g: StubMultigraph, q: int) -> ComponentCensus:
 def validate_structure(g: StubMultigraph) -> None:
     """Raises StructuralError unless every component of g is a path or a
     cycle, which holds exactly when its sorted edge endpoints are
-    exact.stub_owners(n1, n2), so no component is labelled.  Proof: a
+    exact.stub_owners(n1, n2), so no component is labelled (counts that
+    check_counts rejects raise its DomainError there).  Proof: a
     connected component with v vertices, t of degree 1 and the rest of
     degree 2, has v - t/2 edges; being connected it has at least v - 1, so
     t is 0 or 2.  With t = 2 it has v - 1 edges and is a path; with t = 0 it

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .asymptotics import LimitLaw
+from .exact import check_counts
 
 # loop-count cells of poisson_check, before the pooled tail cell
 POISSON_BUCKETS = (0, 1, 2)
@@ -46,8 +47,9 @@ def standardize(counts: np.ndarray, law: LimitLaw, n1: int) -> np.ndarray:
         raise ValueError("counts must be (N, q) with q = %d" % law.q)
     if not np.all(np.isfinite(counts)):
         raise ValueError("counts must be finite")
-    if n1 < 2 or n1 % 2:
-        raise ValueError("standardization needs an even n1 >= 2")
+    check_counts(n1, 0)
+    if n1 == 0:
+        raise ValueError("standardization needs n1 >= 2")
     k = n1 / 2.0
     return (counts[:, 1:] - law.mean_coeffs * k) / math.sqrt(k)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -84,39 +84,32 @@ class CheckResult:
         return "%s  %2d  %-28s (%.1fs)" % (status, self.number, self.name, self.seconds)
 
     def to_json(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 3),
-            "details": self.details,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
+
+
+def _census_matches(model: str, instances, oracle, runtime_limit_s: float) -> dict:
+    """graph_gf equals the oracle's polynomial, exactly, at each (n1, n2) of
+    instances in turn, with q = max(2, n1 + n2) so that no size is pooled."""
+    count = 0
+    for n1, n2 in instances:
+        p = GraphClassParams(n1, n2, q=max(2, n1 + n2), model=model)
+        if graph_gf(p) != oracle(p):
+            return {"passed": False, "failed_at": [n1, n2]}
+        count += 1
+    return {"passed": True, "instances": count, "runtime_limit_s": runtime_limit_s}
 
 
 def check_exact_vs_bruteforce_simple() -> dict:
     """Census polynomial equals adjacency enumeration, exactly."""
-    instances = 0
-    for n1 in range(0, 9, 2):
-        for n2 in range(min(6, 11 - n1)):
-            if n1 + n2 < 2 or class_is_empty(n1, n2, "simple"):
-                continue
-            p = GraphClassParams(n1, n2, q=max(2, n1 + n2))
-            if graph_gf(p) != brute_force_simple(p):
-                return {"passed": False, "failed_at": [n1, n2]}
-            instances += 1
-    return {"passed": True, "instances": instances, "runtime_limit_s": 60}
+    instances = [(n1, n2) for n1 in range(0, 9, 2) for n2 in range(min(6, 11 - n1))
+                 if n1 + n2 >= 2 and not class_is_empty(n1, n2, "simple")]
+    return _census_matches("simple", instances, brute_force_simple, 60)
 
 
 def check_exact_vs_matching_oracle() -> dict:
     """Multigraph census polynomial equals stub-pairing enumeration, exactly."""
-    instances = 0
-    for n1 in range(0, 13, 2):
-        for n2 in range(7 - n1 // 2):
-            p = GraphClassParams(n1, n2, q=max(2, n1 + n2), model="multigraph")
-            if graph_gf(p) != brute_force_multigraph(p):
-                return {"passed": False, "failed_at": [n1, n2]}
-            instances += 1
-    return {"passed": True, "instances": instances, "runtime_limit_s": 120}
+    instances = [(n1, n2) for n1 in range(0, 13, 2) for n2 in range(7 - n1 // 2)]
+    return _census_matches("multigraph", instances, brute_force_multigraph, 120)
 
 
 def check_saddle_closed_form() -> dict:

@@ -240,6 +240,14 @@ def test_weights_must_be_one_dimensional(fn):
         WEIGHT_CALLS[fn](np.ones((3, 3)))
 
 
+def test_chi_value_overflowing_weight_raises_domain_error_not_a_warning():
+    # e^800 overflows to an inf weight, which the weight check rejects
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="positive and finite"):
+            chi_value([800.0], 1.0, 2)
+
+
 @pytest.mark.parametrize("t", ([0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]))
 def test_chi_value_rejects_t_of_wrong_length(t):
     with pytest.raises(ValueError, match="t must have length q-1"):

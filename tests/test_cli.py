@@ -85,11 +85,24 @@ def test_exact_multigraph_output_matches_pinned_digest(tmp_path, capsys):
 def test_exact_output_at_larger_exponents_matches_pinned_digest(tmp_path, capsys, args, digest):
     # computed on the tuple-keyed series kernel, before graph_gf moved to
     # packed integer keys and then to the closed form; the first digest is
-    # also checked in CI
+    # also a stdout pin of cli_pins.txt
     out = tmp_path / "census.json"
     code, _, _ = run_cli(["exact"] + args + ["--out", str(out)], capsys)
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# "arguments:sha256" of a command's stdout, one per line; CI checks the same
+# pins at the installed entry point, also with numpy at its baseline SIMD dispatch
+STDOUT_PINS = [line.rsplit(":", 1)
+               for line in (Path(__file__).parent / "cli_pins.txt").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("args, digest", STDOUT_PINS, ids=[args for args, _ in STDOUT_PINS])
+def test_stdout_matches_pinned_digest(capsys, args, digest):
+    code, out, _ = run_cli(args.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @given(
@@ -494,8 +507,8 @@ def test_asymptote_readme_example_matches_pinned_digest(capsys):
     # SaddleData between the outputs must not move a byte.  The multigraph
     # digests were pinned before the cycle polynomial read its smallest cycle
     # size from series.SMALLEST_CYCLE.  The quadrature sums in its own order,
-    # so its last digits are checked against the exact coefficient instead of
-    # pinned.
+    # so here its last digits are checked against the exact coefficient; the
+    # full stdout, quadrature included, is pinned in cli_pins.txt.
     from degseq.exact import GraphClassParams, graph_gf_value, v_factor
 
     cases = [

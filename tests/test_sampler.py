@@ -11,7 +11,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
-from degseq.errors import EmptyClassError, StructuralError
+from degseq.errors import DomainError, EmptyClassError, StructuralError
 from degseq.exact import GraphClassParams, brute_force_multigraph
 from degseq.series import build_cycle_series
 from degseq import sampler
@@ -158,6 +158,18 @@ def test_validate_structure_labels_no_component(monkeypatch):
         validate_structure(StubMultigraph(8, 6, ((a, a), *rest)))
     with pytest.raises(StructuralError, match="edge endpoint outside the vertex range"):
         validate_structure(StubMultigraph(8, 6, ((a, 14), *rest)))
+
+
+@pytest.mark.parametrize(
+    "g", (StubMultigraph(-2, 1, ((-2, -2),)), StubMultigraph(0, -1, ())), ids=("n1", "n2")
+)
+def test_forged_graph_with_a_negative_count_raises_domain_error(g):
+    # each graph's sorted endpoints equal stub_owners' list for its negative
+    # count, so only the count check can reject it
+    with pytest.raises(DomainError, match="vertex counts must be nonnegative"):
+        validate_structure(g)
+    with pytest.raises(DomainError, match="vertex counts must be nonnegative"):
+        census(g, 2)
 
 
 def test_float_vertex_counts_raise_after_the_int_profile_is_cached():

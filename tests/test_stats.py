@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from degseq.asymptotics import limit_law
+from degseq.errors import DomainError
 from degseq.exact import GraphClassParams, joint_pmf
 from degseq.sampler import census, run_experiment, sample_simple
 from degseq.stats import (
@@ -53,8 +54,13 @@ def test_standardize_round_trip():
 def test_standardize_guards():
     with pytest.raises(ValueError):
         standardize(np.zeros((5, 3)), LAW1, 8)
-    with pytest.raises(ValueError):
+    # the parity and sign of n1 are exact.check_counts' rule
+    with pytest.raises(DomainError, match="n1 must be even"):
         standardize(np.zeros((5, 4)), LAW1, 7)
+    with pytest.raises(DomainError, match="nonnegative"):
+        standardize(np.zeros((5, 4)), LAW1, -2)
+    with pytest.raises(ValueError, match="n1 >= 2"):
+        standardize(np.zeros((5, 4)), LAW1, 0)
 
 
 def test_gaussian_check_accepts_matching_law():
