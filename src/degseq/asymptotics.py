@@ -185,7 +185,9 @@ def saddle_data(alpha: float, u, model: str = "simple") -> SaddleData:
 
 
 def log_v_factor(n1: int, n2: int) -> float:
-    """log of (n1+n2)!/(2^{n1/2} (n1/2)!) via log-gamma (overflow-safe)."""
+    """log of (n1+n2)!/(2^{n1/2} (n1/2)!) via log-gamma (overflow-safe);
+    like exact.v_factor, a count that is not an integer raises TypeError."""
+    n1, n2 = operator.index(n1), operator.index(n2)
     check_counts(n1, n2)
     k = n1 // 2
     return math.lgamma(n1 + n2 + 1) - k * math.log(2.0) - math.lgamma(k + 1)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import EmptyClassError, StructuralError
 from .exact import (
-    GraphClassParams, census_exponents, check_q, class_is_empty, params_dict,
-    stub_owners,
+    GraphClassParams, census_exponents, check_counts, check_q, class_is_empty,
+    params_dict, stub_owners,
 )
 from .unionfind import UnionFind
 
@@ -168,8 +168,9 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     (rows, edges) arrays lo and hi holds the edge ends of graph r, in either
     order; they are put into (min, max) order once, for _contract.  Returns
     the (rows, q) matrix of U_1..U_q and the tail counts, equal row for row to
-    census() of each graph.  Raises StructuralError if a row does not realize
-    the degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
+    census() of each graph.  Raises DomainError for a negative count or an
+    odd n1 (check_counts), and StructuralError if a row does not realize the
+    degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
 
     Once the profile holds, an edge joining two degree-1 vertices is a path
     of size 2, and every other degree-1 vertex hangs off the one degree-2
@@ -178,6 +179,7 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     connected_components call on the block-diagonal union of the rows; a
     component's size is its degree-2 vertices plus the degree-1 vertices
     that hang off them."""
+    check_counts(n1, n2)
     q = check_q(q)
     return _tally(n2, q, *_contract(n1, n2, np.minimum(lo, hi), np.maximum(lo, hi)))
 

@@ -78,7 +78,10 @@ def gaussian_check(
     """Pass iff every standardized mean sits within tol_mean_se standard
     errors of 0 and every covariance entry within tol_cov_abs of the limit
     (absolute comparison: the limit covariance passes through 0).  Raises
-    ValueError for a zero standard error (a constant column)."""
+    ValueError for a report and a law of different q, and for a zero standard
+    error (a constant column)."""
+    if report.empirical_cov.shape != law.hessian.shape:
+        raise ValueError("report and law differ in q")
     if report.n_samples < 1000:
         raise ValueError("need at least 1000 samples for the moment check")
     if not np.all(report.standard_errors > 0):
@@ -152,9 +155,11 @@ def chi_square_gof(
     """Generic chi-square goodness of fit of observed outcome counts against
     exact outcome probabilities; cells with small expectation are pooled, and
     observed outcomes outside the support land in the pooled cell.  Raises
-    ValueError unless n_samples >= 1, the probabilities are finite,
-    nonnegative and sum to 1, and the observed counts sum to n_samples (both
-    within a relative 1e-9)."""
+    ValueError unless 0 < significance < 1, n_samples >= 1, the
+    probabilities are finite, nonnegative and sum to 1, and the observed
+    counts sum to n_samples (both within a relative 1e-9)."""
+    if not 0 < significance < 1:  # NaN fails too
+        raise ValueError("significance must be in (0, 1)")
     if n_samples < 1 or not probs:
         raise ValueError("need n_samples >= 1 and at least one outcome")
     floats = {key: float(p) for key, p in probs.items()}

@@ -201,7 +201,6 @@ WEIGHT_CALLS = {
     "solve_zeta": lambda u: solve_zeta(1.0, u),
     "saddle_data": lambda u: saddle_data(1.0, u, "multigraph"),
     "phi_second": lambda u: saddle_data(1.0, u).phi2,
-    "a_zero": lambda u: saddle_data(1.0, u, "multigraph").a0,
     "asymptotic_log_gf": lambda u: asymptotic_log_gf(MULTI_20_10, u),
     "contour_extract": lambda u: contour_extract(MULTI_20_10, u),
 }
@@ -217,7 +216,7 @@ def test_non_finite_weight_in_any_slot_raises(fn, bad, slot):
         WEIGHT_CALLS[fn](u)
 
 
-@pytest.mark.parametrize("fn", ("a_zero", "saddle_data", "asymptotic_log_gf", "contour_extract"))
+@pytest.mark.parametrize("fn", ("saddle_data", "asymptotic_log_gf", "contour_extract"))
 def test_overflowing_cycle_factor_raises(fn):
     # exp(Cycle) overflows a float at a multigraph loop weight of 1e308
     with pytest.raises(DomainError, match="overflows"):
@@ -532,6 +531,13 @@ def test_limit_law_stores_q_as_python_int():
 def test_log_v_factor_rejects_negative_counts(n1, n2):
     with pytest.raises(ValueError, match="vertex counts must be nonnegative"):
         log_v_factor(n1, n2)
+
+
+@pytest.mark.parametrize("n1, n2", ((2.0, 1), (2, 1.0)))
+def test_log_v_factor_rejects_float_counts_as_v_factor_does(n1, n2):
+    for prefactor in (log_v_factor, v_factor):
+        with pytest.raises(TypeError):
+            prefactor(n1, n2)
 
 
 @pytest.mark.parametrize(

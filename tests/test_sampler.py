@@ -172,6 +172,16 @@ def test_forged_graph_with_a_negative_count_raises_domain_error(g):
         census(g, 2)
 
 
+@pytest.mark.parametrize(
+    "n1, n2, message",
+    ((4, -2, "nonnegative"), (4, -1, "nonnegative"), (3, 1, "n1 must be even")),
+)
+def test_census_rows_checks_the_counts_as_census_does(n1, n2, message):
+    # before the edge arrays are read, with the DomainError of census()
+    with pytest.raises(DomainError, match=message):
+        census_rows(n1, n2, 2, np.array([[0]]), np.array([[1]]))
+
+
 def test_float_vertex_counts_raise_after_the_int_profile_is_cached():
     # stub_owners caches by argument type, so 8.0 never reads the entry of 8
     g = sample_multigraph(8, 6, 1)

@@ -1,5 +1,5 @@
-"""scripts/limit_experiment.py, run in process with the arguments CI gives it:
-each invocation exits 0 and prints strict JSON."""
+"""scripts/limit_experiment.py, run in process: each invocation exits 0 and
+prints strict JSON."""
 
 import contextlib
 import importlib.util

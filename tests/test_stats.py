@@ -93,6 +93,13 @@ def test_gaussian_check_needs_samples():
         gaussian_check(report, LAW1)
 
 
+def test_gaussian_check_rejects_a_law_of_another_q():
+    # a one-column (q = 2) report would broadcast against the 3x3 law
+    v = np.random.default_rng(46).standard_normal((1000, 1))
+    with pytest.raises(ValueError, match="differ in q"):
+        gaussian_check(moment_report(v, n1=2000, n2=1000), LAW1)
+
+
 def test_gaussian_check_rejects_a_constant_column():
     # a zero standard error would divide 0 by 0 into a NaN deviation
     rng = np.random.default_rng(45)
@@ -190,6 +197,12 @@ def test_chi_square_gof_p_value_is_scipy_chi2_sf():
             details = chi_square_gof(observed, probs, n).details
             assert details["cells"] == cells
             assert details["p_value"] == float(chi2.sf(details["chi2_stat"], dof))
+
+
+@pytest.mark.parametrize("significance", (math.nan, 0.0, 1.0))
+def test_chi_square_gof_rejects_a_significance_outside_0_1(significance):
+    with pytest.raises(ValueError, match="significance"):
+        chi_square_gof({"a": 10}, {"a": 1.0}, 10, significance)
 
 
 @pytest.mark.parametrize(
