@@ -36,7 +36,7 @@ SIMPLE_ENUM_LIMIT = 10  # brute_force_simple bound on n1 + n2
 # multigraph, q = 3 takes 4.4 s at (400, 400) and q = 4 7.7 s at (4, 796).
 EXACT_SIZE_LIMIT = 800
 # graph_gf_value bound on n1 + n2.  Its time grows about as n2^2: on a 2-vCPU
-# host q = 2 takes 0.87 s at (4, 20000) and 2.1 s at (4, 29996).
+# host q = 2 takes 0.91 s at (4, 20000) and 2.3 s at (4, 29996).
 VALUE_SIZE_LIMIT = 30000
 MATCHING_ENUM_LIMIT = 6  # brute_force_multigraph bound on edge count m
 
@@ -143,12 +143,15 @@ class CensusPolynomial(_Record):
     scale * counts[e], the number of graphs (simple) or the total pairing
     mass (multigraph) with e_j components of size j.  The constructor divides
     the gcd of the positive int counts into scale, so == compares polynomials;
-    the zero polynomial has no counts and scale 0.  ``poly`` (an MPoly) and
+    the zero polynomial has no counts and scale 0.  ValueError for a count
+    <= 0, which would leave the form not canonical.  ``poly`` (an MPoly) and
     ``total`` (the coefficient sum) are built on first use."""
 
     __match_args__ = ("q", "counts", "scale")
 
     def __init__(self, q: int, counts: dict, scale: Fraction) -> None:
+        if counts and min(counts.values()) <= 0:
+            raise ValueError("census counts must be positive")
         content = math.gcd(*counts.values())  # 0 for the zero polynomial
         vars(self).update(q=q, counts={e: a // content for e, a in counts.items()},
                           scale=scale * content)
@@ -342,12 +345,15 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     coefficients of F / z^{vk}.  ``u_values`` lists u_1..u_q; the default is
     all ones, i.e. the class size (simple) or total pairing mass (multigraph).
 
-    The recurrence runs on integers: with Q^ = L Q and R^ = L R (L the lcm of
-    their denominators), f_m = f_0 g_m / (m! Q^_0^m) where
+    The recurrence runs on integers.  Over W, the lcm of the weights'
+    denominators, the weights are the ints w_j = W u_j, so N^ = W N and
+    C^ = W C are integer polynomials, and so are R^ = W^2 R and Q^ = W^2 Q,
+    divided by their joint gcd.  Then f_m = f_0 g_m / (m! Q^_0^m) where
     g_{m+1} = sum_i R^_i m!/(m-i)! Q^_0^i g_{m-i}
               - sum_{1<=i<=m} Q^_i m!/(m-i)! Q^_0^{i-1} g_{m+1-i},
-    and only the coefficient read out becomes a Fraction.  Raises ValueError,
-    before any work, when n1 + n2 exceeds VALUE_SIZE_LIMIT.
+    and only the coefficient read out becomes a Fraction, with
+    f_0 = (N^_0 / W)^k.  Raises ValueError, before any work, when n1 + n2
+    exceeds VALUE_SIZE_LIMIT.
     """
     if params.n1 + params.n2 > VALUE_SIZE_LIMIT:
         raise ValueError("graph_gf_value bound n1+n2 <= %d exceeded" % VALUE_SIZE_LIMIT)
@@ -355,25 +361,27 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
     u = [Fraction(1)] * q if u_values is None else [as_fraction(x) for x in u_values]
     if len(u) != q:
         raise ValueError("need %d weights u_1..u_%d, got %d" % (q, q, len(u)))
-    w = u + [Fraction(1)]  # w[j - 1] = u_j, and 1 for every size j > q
-    n = _times_one_minus_z(w[1:])  # Path_i = u_{i+2}
+    scale = math.lcm(*(x.denominator for x in u))  # W
+    # w[j - 1] = W u_j, and W for every size j > q
+    w = [x.numerator * (scale // x.denominator) for x in u] + [scale]
+    n = _times_one_minus_z(w[1:])  # N^ = W N, Path_i = u_{i+2}
     v = next(i for i, x in enumerate(n) if x)  # Path is 1 from z^{q-1} on: N != 0
     target = params.n2 - v * k
     if target < 0:
         return Fraction(0)
-    n = n[v:] + [Fraction(0)]
+    n = n[v:] + [0]
     first = check_model(params.model)
-    # [z^i] 2 Cyc' = u_{i+1} for cycle sizes i + 1 >= first
-    c = _times_one_minus_z([Fraction(0)] * (first - 1) + w[first - 1 :])
-    r = [Fraction(0)] * (len(n) + len(c))
+    # C^ = W C, [z^i] 2 Cyc' = u_{i+1} for cycle sizes i + 1 >= first
+    c = _times_one_minus_z([0] * (first - 1) + w[first - 1 :])
+    r_hat = [0] * (len(n) + len(c))
     for i in range(len(n) - 1):  # n[-1] = 0
-        r[i] += 2 * k * ((1 - i) * n[i] + (i + 1) * n[i + 1])
+        r_hat[i] += 2 * k * scale * ((1 - i) * n[i] + (i + 1) * n[i + 1])
         for j, cj in enumerate(c):
-            r[i + j] += n[i] * cj
-    qs = [2 * x for x in _times_one_minus_z(n)]
-    scale = math.lcm(*(x.denominator for x in r + qs))
-    r_hat = [int(x * scale) for x in r]
-    q_hat = [int(x * scale) for x in qs]
+            r_hat[i + j] += n[i] * cj
+    q_hat = [2 * scale * x for x in _times_one_minus_z(n)]
+    content = math.gcd(*r_hat, *q_hat)  # q_hat[0] = 2 W N^_0 != 0
+    r_hat = [x // content for x in r_hat]
+    q_hat = [x // content for x in q_hat]
     q0 = q_hat[0]
     # (i, R^_i Q^_0^i) and (i, Q^_i Q^_0^{i-1}): the m-free factors of each sum
     r_terms = [(i, x * q0**i) for i, x in enumerate(r_hat) if x]
@@ -390,10 +398,9 @@ def graph_gf_value(params: GraphClassParams, u_values=None) -> Fraction:
                 break
             acc -= qi * perm(m, i) * g[m + 1 - i]
         g.append(acc)
-    f0 = n[0] ** k
     vf = v_factor(params.n1, params.n2)
-    num = f0.numerator * vf.numerator * g[target]
-    den = f0.denominator * vf.denominator * math.factorial(target) * q0**target
+    num = n[0] ** k * vf.numerator * g[target]
+    den = scale**k * vf.denominator * math.factorial(target) * q0**target
     return Fraction(num, den)
 
 
@@ -538,9 +545,13 @@ def write_census_json(params: GraphClassParams, census: CensusPolynomial, fh) ->
     (as in census_to_json), pmf (the {counts, num, den} rows of census.pmf())},
     at a fraction of the cost: the rows (count * scale, and count / sum of the
     counts) come from the sorted counts with no Fraction, are laid out from a
-    template, as the indented encoder is pure Python, and are written
-    CHUNK_ROWS at a time, so the text is never held whole.  Raises
-    EmptyClassError for an empty class before writing anything."""
+    template, as the indented encoder is pure Python, with each term's
+    exponent block laid out once for both row lists, and are written
+    CHUNK_ROWS at a time, so the text is never held whole.  Raises, before
+    writing anything, ValueError when census.q is not params.q and
+    EmptyClassError for an empty class."""
+    if census.q != params.q:
+        raise ValueError("census has q = %d, params q = %d" % (census.q, params.q))
     counts = census.nonzero().counts
     head = {
         "params": params_dict(params),
@@ -548,22 +559,25 @@ def write_census_json(params: GraphClassParams, census: CensusPolynomial, fh) ->
         "total": {"num": census.total.numerator, "den": census.total.denominator},
     }
     exps = sorted(counts)
+    values = [counts[e] for e in exps]
+    # each term's exponents as json.dumps(indent=2) lays them out in a row of
+    # a top-level list, for both row lists
+    layout = ",\n        ".join(["%d"] * census.q)
+    blocks = [layout % e for e in exps]
     fh.write(json.dumps(head, indent=2)[:-2])  # without its closing "\n}"
     for name, field, (n, d) in (("polynomial", "exponents", census.scale.as_integer_ratio()),
-                                ("pmf", "counts", (1, sum(counts.values())))):
-        # one {field, num, den} row as json.dumps(indent=2) lays it out in a
-        # top-level list, with a %d per exponent
-        row = ('    {\n      "%s": [\n        %s\n      ],\n      "num": %%d,\n'
-               '      "den": %%s\n    }' % (field, ",\n        ".join(["%d"] * census.q)))
+                                ("pmf", "counts", (1, sum(values)))):
+        # one {field, num, den} row as json.dumps(indent=2) lays it out
+        row = ('    {\n      "%s": [\n        %%s\n      ],\n      "num": %%d,\n'
+               '      "den": %%s\n    }' % field)
         whole = str(d)  # the den of every row whose count is coprime to d
         fh.write(',\n  "%s": [\n' % name)
         for start in range(0, len(exps), CHUNK_ROWS):
-            rows = []
-            for e in exps[start : start + CHUNK_ROWS]:
+            rows, chunk = [], slice(start, start + CHUNK_ROWS)
+            for block, a in zip(blocks[chunk], values[chunk]):
                 # a * n / d in lowest terms by one gcd, as gcd(n, d) = 1
-                a = counts[e]
                 g = math.gcd(a, d)
-                rows.append(row % (*e, a // g * n, whole if g == 1 else d // g))
+                rows.append(row % (block, a // g * n, whole if g == 1 else d // g))
             fh.write((",\n" if start else "") + ",\n".join(rows))
         fh.write("\n  ]")
     fh.write("\n}\n")

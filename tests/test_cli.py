@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import time
@@ -112,11 +113,14 @@ def test_stdout_matches_pinned_digest(capsys, args, digest):
 @example(1, 0, 2, "simple", True)
 @example(2, 96, 4, "simple", False)  # 1202 rows: more than one chunk
 @example(2, 96, 4, "simple", True)
+@example(1, 3, 4, "multigraph", False)  # scale 5/4; rows whose den is d // g
+@example(2, 3, 3, "multigraph", True)  # scale 105/8
 @settings(max_examples=60, deadline=None)
 def test_exact_writer_matches_indented_json(half_n1, n2, q, model, to_file):
     # the template writer against the encoder it replaces, on the payload the
     # command builds, to stdout or to an --out file; includes n1 = 0, q beyond
-    # the largest component, a one-row census and one of several chunks
+    # the largest component, a one-row census, one of several chunks, and
+    # polynomial and PMF rows whose count shares a factor with the den
     from degseq import cli
     from degseq.exact import CHUNK_ROWS, census_to_json, write_census_json
 
@@ -135,6 +139,11 @@ def test_exact_writer_matches_indented_json(half_n1, n2, q, model, to_file):
     census = spy.call_args.args[1]
     if (half_n1, n2, q) == (2, 96, 4):
         assert len(census.counts) == 1202 > CHUNK_ROWS
+    if (half_n1, n2, model) in ((1, 3, "multigraph"), (2, 3, "multigraph")):
+        den, total = census.scale.denominator, sum(census.counts.values())
+        assert den > 1
+        assert any(math.gcd(a, den) > 1 for a in census.counts.values())
+        assert any(math.gcd(a, total) > 1 for a in census.counts.values())
     payload = {
         "params": {"n1": 2 * half_n1, "n2": n2, "q": q, "model": model},
         **census_to_json(census),

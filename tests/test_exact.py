@@ -215,6 +215,14 @@ def test_census_constructor_divides_out_the_content():
     assert CensusPolynomial(2, {}, F(5)) == CensusPolynomial(2, {}, F(0))
 
 
+@pytest.mark.parametrize("counts", [{(0, 1): 2, (1, 0): 0}, {(0, 1): -2}, {(0, 1): 2, (1, 0): -4}])
+def test_census_constructor_rejects_counts_that_are_not_positive(counts):
+    # a zero count would make == tell equal polynomials apart, and a negative
+    # one would give a pmf() that is no law
+    with pytest.raises(ValueError, match="census counts must be positive"):
+        CensusPolynomial(2, counts, F(1))
+
+
 RECORDS = [
     # (record, an equal one built positionally, an unequal one, its field
     # values, its repr)
@@ -301,6 +309,18 @@ def test_graph_gf_value_with_zero_u2_matches_poly_evaluation():
     # divide by N_0 and runs on N / z instead
     p = GraphClassParams(6, 4, q=3)
     assert graph_gf_value(p, [1, 0, 1]) == evaluate(graph_gf(p).poly, [1, 0, 1])
+
+
+@pytest.mark.parametrize("model", ["simple", "multigraph"])
+@pytest.mark.parametrize("u", [(1, F(1, 7), F(2, 11), F(5, 13)), (F(3, 7), 0, F(2, 11), F(5, 13)),
+                               (F(-4, 17), F(9, 19), F(-2, 23), F(29, 31))])
+def test_graph_gf_value_at_large_coprime_denominators(model, u):
+    # the recurrence's coefficients over the weights' common denominator
+    # (1001 and 230299 here, against the hypothesis draws' denominators <= 3),
+    # with and without u_2 = 0
+    for n1, n2 in ((6, 8), (10, 7)):
+        p = GraphClassParams(n1, n2, q=4, model=model)
+        assert graph_gf_value(p, u) == evaluate(graph_gf(p).poly, u)
 
 
 TILTED = (1, F(11, 10), F(9, 10), F(21, 20))
@@ -445,6 +465,14 @@ def test_write_census_json_raises_for_an_empty_class(n1, n2):
     fh = io.StringIO()
     with pytest.raises(EmptyClassError):
         write_census_json(p, graph_gf(p), fh)
+    assert fh.getvalue() == ""
+
+
+def test_write_census_json_rejects_a_census_of_another_q():
+    p = GraphClassParams(4, 3, q=3)
+    fh = io.StringIO()
+    with pytest.raises(ValueError, match="census has q = 2, params q = 3"):
+        write_census_json(p, graph_gf(GraphClassParams(4, 3, q=2)), fh)
     assert fh.getvalue() == ""
 
 
