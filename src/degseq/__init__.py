@@ -13,9 +13,9 @@ plain classes), and ``degseq exact`` loads no degseq module but
 cli, errors and exact: the reference modules series and unionfind are
 loaded only by the MPoly view of a census and the brute-force oracles, and
 ``asymptote`` loads neither; ``limit-law``, ``sample``, ``asymptote`` and
-``verify`` load numpy, and each scipy piece is imported inside the one
-function that uses it, so ``limit-law`` and ``asymptote`` load none
-(tests/test_import_policy.py).
+``verify`` load numpy, and the one scipy piece, scipy.special, is imported
+inside stats.chi_square_gof, so ``limit-law``, ``sample`` and ``asymptote``
+load no scipy (tests/test_import_policy.py).
 """
 
 import importlib

@@ -2,7 +2,9 @@
 matching, rejection to simple graphs, component census, and a seeded,
 optionally parallel experiment harness that draws and rejects a block of
 pairings per numpy call, and labels the degree-2 vertices of the accepted
-rows a budget's worth at a time, across chunk boundaries.
+rows a budget's worth at a time, across chunk boundaries.  The labeller is
+numpy alone: it walks each path in from both ends and doubles pointers only
+over the darts of the few cycles, so sampling loads no scipy.
 
 The single-graph API is plain Python.  sample_multigraph shuffles a list of
 exact.stub_owners with Generator.shuffle, making the draws of
@@ -169,18 +171,20 @@ def census_rows(n1: int, n2: int, q: int, lo: np.ndarray, hi: np.ndarray):
     order; they are put into (min, max) order once, for _contract.  Returns
     the (rows, q) matrix of U_1..U_q and the tail counts, equal row for row to
     census() of each graph.  Raises DomainError for a negative count or an
-    odd n1 (check_counts), and StructuralError if a row does not realize the
-    degree profile (degree 1 on the first n1 vertices, 2 elsewhere).
+    odd n1 (check_counts), ValueError unless lo and hi are 2-D arrays of one
+    shape, and StructuralError if a row does not realize the degree profile
+    (degree 1 on the first n1 vertices, 2 elsewhere).
 
     Once the profile holds, an edge joining two degree-1 vertices is a path
     of size 2, and every other degree-1 vertex hangs off the one degree-2
     vertex it is joined to.  So only the rows*n2 degree-2 vertices and the
-    edges among them are labelled (_contract, then _tally), in one
-    connected_components call on the block-diagonal union of the rows; a
-    component's size is its degree-2 vertices plus the degree-1 vertices
-    that hang off them."""
+    edges among them are labelled (_contract, then _tally, over the
+    block-diagonal union of the rows); a component's size is its degree-2
+    vertices plus the degree-1 vertices that hang off them."""
     check_counts(n1, n2)
     q = check_q(q)
+    if np.ndim(lo) != 2 or np.shape(lo) != np.shape(hi):
+        raise ValueError("lo and hi must be 2-D arrays of one shape")
     return _tally(n2, q, *_contract(n1, n2, np.minimum(lo, hi), np.maximum(lo, hi)))
 
 
@@ -207,24 +211,50 @@ def _contract(n1: int, n2: int, lo: np.ndarray, hi: np.ndarray):
 
 def _tally(n2: int, q: int, first: np.ndarray, second: np.ndarray, pairs: np.ndarray):
     """census_rows' counts and tails from _contract's output for len(pairs)
-    rows, labelled in one connected_components call."""
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    rows = pairs.size
-    graph = coo_matrix(
-        (np.ones(first.size, dtype=np.int8), (first, second)), shape=(rows * n2, rows * n2)
-    )
-    # directed=False: scipy's strong-connection path hangs on a double edge's repeated CSR column
-    n_comps, labels = connected_components(graph, directed=False)
-    # V degree-2 vertices joined by E edges have 2V - 2E ends left over, one
-    # per hanging degree-1 vertex: the component holds 3V - 2E vertices
-    vertices = np.bincount(labels, minlength=n_comps)
-    sizes = 3 * vertices - 2 * np.bincount(labels[first], minlength=n_comps)
-    comp_row = np.empty(n_comps, dtype=np.int64)
-    comp_row[labels] = np.repeat(np.arange(rows), n2)
-    bucket = comp_row * (q + 1) + np.minimum(sizes, q + 1) - 1
-    tally = np.bincount(bucket, minlength=rows * (q + 1)).reshape(rows, q + 1)
+    rows, in numpy alone.  Degree-2 vertex v has two ports, darts 2v and
+    2v + 1.  Leaving v by dart d, a walk crosses d's edge and leaves the
+    vertex at its far end by the other port: step[d], or -1 where a degree-1
+    vertex hangs at d.  Each component is found twice, and halved: a path by
+    a walker from each end, a cycle as one orbit of step per orientation."""
+    rows, edges = pairs.size, first.size
+    ends = np.concatenate((first, second))
+    # of a vertex's two ends, port 0 is the one whose index the write kept,
+    # so a vertex with one end leaves its port 1 hanging
+    order = np.arange(2 * edges)
+    slot = np.empty(rows * n2, dtype=np.int64)
+    slot[ends] = order
+    darts = 2 * ends + (slot[ends] != order)
+    step = np.full(2 * rows * n2, -1, dtype=np.int64)
+    step[darts] = np.concatenate((darts[edges:], darts[:edges])) ^ 1
+    seen = step[1::2] < 0  # a port hangs: the vertex is on a path
+    bare = step[0::2] < 0  # both hang: a path of size 3
+    # a walker leaves each chain end by port 0 and stops at the vertex whose
+    # other port hangs: the path holds its V degree-2 vertices and two more
+    cur = step[2 * np.flatnonzero(seen & ~bare)]
+    stops, sizes = [2 * np.flatnonzero(bare)] * 2, [3, 3]
+    while cur.size:
+        seen[cur >> 1] = True
+        nxt = step[cur]
+        end = nxt < 0
+        stops.append(cur[end])
+        sizes.append(sizes[-1] + 1)
+        cur = nxt[~end]
+    vertex = np.concatenate(stops) >> 1
+    size = np.repeat(sizes, [v.size for v in stops])
+    # no walker reaches a cycle: min-label pointer doubling over the darts of
+    # the unseen vertices alone labels each orbit, of at most half of them,
+    # by its least dart
+    cycle_darts = (2 * np.flatnonzero(~seen)[:, None] + (0, 1)).ravel()
+    ptr = np.searchsorted(cycle_darts, step[cycle_darts])
+    label = np.arange(cycle_darts.size)
+    for _ in range((cycle_darts.size // 2 - 1).bit_length()):
+        label = np.minimum(label, label[ptr])
+        ptr = ptr[ptr]
+    root = np.flatnonzero(label == np.arange(label.size))
+    vertex = np.concatenate((vertex, cycle_darts[root] >> 1))
+    size = np.concatenate((size, np.bincount(label)[root]))
+    bucket = vertex // n2 * (q + 1) + np.minimum(size, q + 1) - 1
+    tally = np.bincount(bucket, minlength=rows * (q + 1)).reshape(rows, q + 1) // 2
     tally[:, 1] += pairs  # the paths of size 2
     return tally[:, :q], tally[:, q]
 

@@ -2,7 +2,7 @@
 size, path halving) used by census and the brute-force oracles.  It labels
 components only; degree profiles are checked against exact.stub_owners.
 census_rows and run_experiment label batches of graphs with sampler._tally
-instead, which hands only their degree-2 vertices to connected_components."""
+instead, a numpy walk over their degree-2 vertices alone."""
 
 from __future__ import annotations
 

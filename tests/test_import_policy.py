@@ -3,10 +3,10 @@ inspect, ``degseq limit-law`` and ``degseq asymptote`` without scipy,
 neither ``exact`` nor ``asymptote`` loads the reference modules ``series``
 and ``unionfind``, and the lazy ``degseq`` namespace still exports every
 name it did when it imported all submodules eagerly.  numpy is loaded by the
-submodules that use it (asymptotics, sampler, stats, verify); each of the two
-scipy pieces is imported inside the one function that uses it
-(sampler._tally, which census_rows and run_experiment call, and
-chi_square_gof)."""
+submodules that use it (asymptotics, sampler, stats, verify).  The one scipy
+piece, scipy.special, is imported inside the one function that uses it,
+stats.chi_square_gof: the sampler labels its components in numpy alone, so
+run_experiment and census_rows load no scipy."""
 
 import ast
 import glob
@@ -43,8 +43,12 @@ after_asymptote = loaded("scipy")
 inspect_after_asymptote = "inspect" in sys.modules
 degseq_after_asymptote = loaded("degseq")
 degseq.run_experiment(degseq.GraphClassParams(4, 4, q=3), 5, seed=1)
+degseq.sampler.census_rows(2, 1, 2, [[0, 1]], [[2, 2]])
+after_sample = loaded("scipy")
+degseq.chi_square_gof({0: 50, 1: 50}, {0: 0.5, 1: 0.5}, 100)
 print(json.dumps({"codes": codes, "after_exact": after_exact, "after_law": after_law,
-                  "after_asymptote": after_asymptote, "after_sample": loaded("scipy"),
+                  "after_asymptote": after_asymptote, "after_sample": after_sample,
+                  "after_gof": loaded("scipy"),
                   "degseq_after_exact": degseq_after_exact, "stdlib_after_exact": stdlib_after_exact,
                   "inspect_after_asymptote": inspect_after_asymptote,
                   "degseq_after_asymptote": degseq_after_asymptote}))
@@ -88,11 +92,13 @@ def test_exact_and_limit_law_load_no_scipy(tmp_path):
     assert report["degseq_after_exact"] == [
         "degseq", "degseq.cli", "degseq.errors", "degseq.exact"]
     assert not {"degseq.series", "degseq.unionfind"} & set(report["degseq_after_asymptote"])
-    # positive controls: the limit law loads numpy, numpy loads inspect, the
-    # sampler's labeller loads scipy, and the probe sees all three
     assert report["after_law"] == {"numpy": True, "scipy": []}
+    # the sampler's labeller is numpy alone
+    assert report["after_sample"] == []
+    # positive controls: the limit law loads numpy, numpy loads inspect, one
+    # goodness-of-fit test loads scipy.special, and the probe sees all three
     assert report["inspect_after_asymptote"]
-    assert "scipy.sparse.csgraph" in report["after_sample"]
+    assert "scipy.special" in report["after_gof"]
 
 
 def test_namespace_exports_the_eager_names():

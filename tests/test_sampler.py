@@ -468,14 +468,47 @@ def _either_order(edges, rng):
     return np.where(swap, edges[..., 1], edges[..., 0]), np.where(swap, edges[..., 0], edges[..., 1])
 
 
+@pytest.mark.parametrize(
+    "lo, hi",
+    (
+        ([[0, 1], [0, 1]], [[2, 2]]),
+        ([[2, 2]], [[0, 1], [0, 1]]),
+        ([0, 1], [2, 2]),
+        ([[[0, 1]]], [[[2, 2]]]),
+    ),
+    ids=("two-rows-one-row", "one-row-two-rows", "1-D", "3-D"),
+)
+def test_census_rows_rejects_blocks_that_are_not_2d_of_one_shape(lo, hi):
+    with pytest.raises(ValueError, match="2-D arrays of one shape"):
+        census_rows(2, 1, 2, np.array(lo), np.array(hi))
+
+
 @pytest.mark.parametrize("model", ("simple", "multigraph"))
 def test_census_rows_matches_census_on_random_blocks(model):
     # seeded blocks of 0 to 5 graphs, ends in either order; the empty graph,
-    # n1 = 0 (cycles only), n2 = 0 (size-2 paths only), and a q above every
-    # component
+    # n1 = 0 (cycles only), n2 = 0 (size-2 paths only), n2 >> n1 (long
+    # cycles, several doubling rounds), and a q above every component
     rng = np.random.default_rng(53 if model == "simple" else 59)
     draw = sample_simple if model == "simple" else sample_multigraph
-    cases = [(0, 0), (0, 3), (0, 9), (2, 0), (10, 0), (2, 1), (8, 6), (30, 12), (6, 40)]
+    cases = [(0, 0), (0, 3), (0, 9), (2, 0), (10, 0), (2, 1), (8, 6), (30, 12), (6, 40),
+             (4, 400), (0, 400), (2, 1000)]
+    if model == "multigraph":
+        # q = 3 by hand, n1 = 4, n2 = 14: row 0 holds a degree-2 vertex whose
+        # ports both hang (0-4-1), a chain longer than q (2-5-6-7-3), a loop,
+        # a double edge, and cycles of size q and q + 1; in row 1 no path
+        # passes a degree-2 vertex, and all 14 lie on one cycle
+        built = [
+            [(0, 4), (1, 4), (2, 5), (5, 6), (6, 7), (3, 7), (8, 8), (9, 10), (9, 10),
+             (11, 12), (12, 13), (11, 13), (14, 15), (15, 16), (16, 17), (14, 17)],
+            [(0, 1), (2, 3)] + [(v, v + 1) for v in range(4, 17)] + [(4, 17)],
+        ]
+        graphs = [StubMultigraph(4, 14, tuple(edges)) for edges in built]
+        graphs += [draw(4, 14, rng) for _ in range(3)]
+        counts, tail_counts = census_rows(4, 14, 3, *_either_order(np.array([g.edges for g in graphs]), rng))
+        assert (counts[:2].tolist(), tail_counts[:2].tolist()) == ([[1, 1, 2], [0, 2, 0]], [2, 1])
+        for g, row, tail in zip(graphs, counts.tolist(), tail_counts.tolist()):
+            c = census(g, 3)
+            assert (list(c.counts), c.tail_count) == (row, tail)
     tails = 0
     for n1, n2 in cases:
         for rows in (0, int(rng.integers(1, 6))):
